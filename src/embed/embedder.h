@@ -66,8 +66,8 @@ struct EmbedOptions {
 /// capacities and spill pools, and the destructor returns them, so a loop
 /// that embeds one tree per iteration (the replication engine — one
 /// embedder per sink) stops paying the allocation churn after warm-up.
-/// One scratch must serve at most one live embedder at a time; speculation
-/// workers keep one per thread.
+/// One scratch must serve at most one live embedder at a time; the engine
+/// keeps one per thread, so concurrent service jobs never share one.
 struct EmbedScratch {
   std::vector<std::vector<std::vector<Label>>> a;
   std::vector<std::vector<std::uint32_t>> spill;

@@ -39,7 +39,7 @@ struct FlowConfig {
   /// Compute the low-stress numbers (W_min search + 1.2 W_min routing).
   bool route_lowstress = true;
   std::uint64_t seed = 7;
-  /// Threads for the replication engine's speculative embedding
+  /// Threads for the replication engine's embedder join
   /// (EngineOptions::num_threads): 0 = hardware concurrency, 1 = serial.
   /// Results are bit-identical for every value. Override with REPRO_THREADS.
   int num_threads = 0;

@@ -1,14 +1,11 @@
 #include "replicate/engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <future>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -21,7 +18,6 @@
 #include "timing/timing_engine.h"
 #include "timing/timing_graph.h"
 #include "util/log.h"
-#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace repro {
@@ -84,56 +80,14 @@ struct Snapshot {
   }
 };
 
-// ---- speculative embedding (docs/ALGORITHMS.md §11) -------------------------
-//
-// One engine iteration = (sink, epsilon, ff_relocation, repl_cost_mult)
-// -> SPT -> replication tree -> embedding DP -> solution selection. That
-// whole pipeline reads but never writes the netlist/placement/timing state,
-// so it can run ahead of time on a worker thread against an immutable
-// snapshot. The serial schedule is highly predictable (the epsilon ladder on
-// a non-improving sink, then the next sinks of the near-critical band), so
-// the main thread enqueues the keys the serial loop would demand next and
-// later consumes a speculation only when the serial bookkeeping arrives at
-// exactly that key. The applied result is therefore always the one the
-// serial engine would have computed: the trajectory is bit-identical for
-// every thread count, and parallelism only hides the embedding latency.
-
-struct SpecParams {
+/// Where one engine iteration looks: the critical sink, the SPT widening,
+/// and the knobs the bookkeeping escalates on repeated failure.
+struct IterationParams {
   TimingNodeId sink;
   CellId sink_cell;
   double epsilon = 0;
   bool ff_relocation = false;
   double repl_cost_mult = 1.0;
-};
-
-struct SpecKey {
-  std::uint32_t cell = 0;
-  std::uint64_t eps_bits = 0;
-  std::uint64_t mult_bits = 0;
-  bool ff = false;
-  bool operator==(const SpecKey&) const = default;
-};
-
-SpecKey key_of(const SpecParams& p) {
-  return SpecKey{static_cast<std::uint32_t>(p.sink_cell.index()),
-                 std::bit_cast<std::uint64_t>(p.epsilon),
-                 std::bit_cast<std::uint64_t>(p.repl_cost_mult),
-                 p.ff_relocation};
-}
-
-struct SpecKeyHash {
-  std::size_t operator()(const SpecKey& k) const {
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&](std::uint64_t v) {
-      h ^= v;
-      h *= 1099511628211ull;
-    };
-    mix(k.cell);
-    mix(k.eps_bits);
-    mix(k.mult_bits);
-    mix(k.ff ? 1u : 2u);
-    return static_cast<std::size_t>(h);
-  }
 };
 
 /// Dense CellId-indexed replacement for the engine's old
@@ -159,9 +113,9 @@ struct StuckSinks {
 };
 
 /// Everything one iteration's read-only pipeline produces. Status mirrors
-/// the serial engine's early-out ladder so the main loop can replay the
-/// exact bookkeeping transitions without recomputing anything.
-struct SpecOutcome {
+/// the engine's early-out ladder, which the main loop turns into its
+/// bookkeeping transitions.
+struct IterationOutcome {
   enum class Status { kEmptyTree, kTreeTooBig, kNoSolution, kSolution };
   Status status = Status::kEmptyTree;
   std::size_t tree_internal = 0;
@@ -177,29 +131,26 @@ struct SpecOutcome {
 };
 
 /// The read-only half of one engine iteration: SPT extraction, replication
-/// tree, fanin-tree embedding, solution selection. Runs unchanged on the
-/// live state (main thread) or on a snapshot (speculation worker) — both
-/// produce bit-identical outcomes because the inputs are bit-identical and
-/// the DP is deterministic. `dp_pool` parallelizes the embedder's join
-/// columns (also bit-identical for any pool size); workers pass nullptr and
-/// keep each speculation on one thread.
-SpecOutcome compute_speculation(const Netlist& nl, const Placement& pl,
-                                const TimingGraph& tg, const LinearDelayModel& dm,
-                                const EngineOptions& opt, const SpecParams& sp,
-                                double lower_bound, ThreadPool* dp_pool) {
-  SpecOutcome out;
+/// tree, fanin-tree embedding, solution selection, all on the live state.
+/// `dp_pool` parallelizes the embedder's join columns, bit-identically for
+/// any pool size (null = serial).
+IterationOutcome compute_iteration(const Netlist& nl, const Placement& pl,
+                                   const TimingGraph& tg, const LinearDelayModel& dm,
+                                   const EngineOptions& opt, const IterationParams& ip,
+                                   double lower_bound, ThreadPool* dp_pool) {
+  IterationOutcome out;
   const double crit = tg.critical_delay();
 
-  Spt spt = opt.flat_scratch ? extract_eps_spt(tg, sp.sink, sp.epsilon)
-                             : extract_eps_spt_legacy(tg, sp.sink, sp.epsilon);
+  Spt spt = opt.flat_scratch ? extract_eps_spt(tg, ip.sink, ip.epsilon)
+                             : extract_eps_spt_legacy(tg, ip.sink, ip.epsilon);
   ReplicationTree rt = build_replication_tree(tg, spt);
   out.tree_internal = rt.num_internal();
   if (rt.num_internal() == 0) {
-    out.status = SpecOutcome::Status::kEmptyTree;
+    out.status = IterationOutcome::Status::kEmptyTree;
     return out;
   }
   if (rt.num_internal() > static_cast<std::size_t>(opt.max_tree_internal)) {
-    out.status = SpecOutcome::Status::kTreeTooBig;
+    out.status = IterationOutcome::Status::kTreeTooBig;
     return out;
   }
 
@@ -274,7 +225,7 @@ SpecOutcome compute_speculation(const Netlist& nl, const Placement& pl,
   // Placement cost (Section II-A): congestion plus the replication cost,
   // discounted to zero on any location holding a logically equivalent
   // cell; fanout-1 originals get the discount everywhere.
-  const double repl_cost_mult = sp.repl_cost_mult;
+  const double repl_cost_mult = ip.repl_cost_mult;
   auto pcost = [&](TreeNodeId i, EmbedVertexId j) -> double {
     Point p = graph.point(j);
     if (i == rt.tree.root()) {
@@ -295,17 +246,17 @@ SpecOutcome compute_speculation(const Netlist& nl, const Placement& pl,
   };
 
   EmbedOptions eo = embed_options_for(opt);
-  eo.relocatable_root = sp.ff_relocation;
+  eo.relocatable_root = ip.ff_relocation;
   eo.pool = dp_pool;
-  // One embedder per iteration / per speculation: the scratch keeps the
-  // warmed-up label tables on this thread across calls.
+  // One embedder per iteration: the scratch keeps the warmed-up label tables
+  // on this thread across calls (concurrent service jobs each own one).
   static thread_local EmbedScratch scratch;
 
   int pick = -1;
   {
     FaninTreeEmbedder embedder(rt.tree, graph, pcost, eo, &scratch);
     if (!embedder.run()) {
-      out.status = SpecOutcome::Status::kNoSolution;
+      out.status = IterationOutcome::Status::kNoSolution;
       return out;
     }
 
@@ -313,7 +264,7 @@ SpecOutcome compute_speculation(const Netlist& nl, const Placement& pl,
     // circuit's monotone lower bound; if the bound is unreachable for this
     // tree, the cheapest among the fastest achievable.
     const int fastest = embedder.pick_fastest();
-    if (sp.ff_relocation) {
+    if (ip.ff_relocation) {
       // Section V-D: minimize arrival plus the induced penalty on the other
       // paths launched from the relocated register.
       double best_score = 0;
@@ -321,7 +272,7 @@ SpecOutcome compute_speculation(const Netlist& nl, const Placement& pl,
         const RootSolution& rs = embedder.tradeoff()[k];
         Point root_loc = graph.point(rs.vertex);
         double penalty = 0;
-        TimingNodeId q = tg.out_node(sp.sink_cell);
+        TimingNodeId q = tg.out_node(ip.sink_cell);
         if (q.valid()) {
           for (std::size_t e : tg.fanout_edges(q)) {
             Point to_loc = pl.location(tg.node(tg.edge(e).to).cell);
@@ -346,7 +297,7 @@ SpecOutcome compute_speculation(const Netlist& nl, const Placement& pl,
         const double fastest_t = embedder.tradeoff()[fastest].delay.primary();
         const double threshold =
             std::max({lower_bound, fastest_t,
-                      tg.arrival(sp.sink) - opt.improvement_step_fraction * crit});
+                      tg.arrival(ip.sink) - opt.improvement_step_fraction * crit});
         pick = embedder.pick_cheapest_within(threshold);
         if (pick < 0) pick = embedder.pick_cheapest_within(fastest_t);
         // Spend the subcritical budget on the lexicographically fastest
@@ -365,7 +316,7 @@ SpecOutcome compute_speculation(const Netlist& nl, const Placement& pl,
       }
     }
     if (pick < 0) {
-      out.status = SpecOutcome::Status::kNoSolution;
+      out.status = IterationOutcome::Status::kNoSolution;
       return out;
     }
 
@@ -376,116 +327,11 @@ SpecOutcome compute_speculation(const Netlist& nl, const Placement& pl,
     out.curve_size = embedder.tradeoff().size();
   }
 
-  out.status = SpecOutcome::Status::kSolution;
+  out.status = IterationOutcome::Status::kSolution;
   out.rt = std::move(rt);
   out.graph = std::move(graph);
   return out;
 }
-
-/// Copy of the engine's optimization state that speculation workers read
-/// while the main thread mutates the live objects. shared_ptr ownership:
-/// abandoned speculations may still be running when the cache moves on.
-struct EngineSnapshot {
-  std::unique_ptr<Netlist> nl;
-  std::unique_ptr<Placement> pl;
-  std::unique_ptr<TimingGraph> tg;
-};
-
-class SpeculationManager {
- public:
-  SpeculationManager(ThreadPool* pool, const LinearDelayModel& dm,
-                     const EngineOptions& opt, std::size_t width)
-      : pool_(pool), dm_(dm), opt_(opt), width_(width) {}
-
-  /// Hands the predicted keys to the workers. Creates the state snapshot
-  /// lazily (once per cache generation); entries keyed to an outdated
-  /// replication-cost multiplier are evicted first — they can never be
-  /// demanded again until the multiplier cycles back, and they hold cache
-  /// slots the current predictions need.
-  void prefetch(const Netlist& nl, const Placement& pl, const TimingGraph& tg,
-                double lower_bound, const std::vector<SpecParams>& preds) {
-    if (!pool_ || pool_->num_workers() == 0 || width_ == 0 || preds.empty())
-      return;
-    const std::uint64_t mult_bits =
-        std::bit_cast<std::uint64_t>(preds.front().repl_cost_mult);
-    for (auto it = cache_.begin(); it != cache_.end();) {
-      if (it->first.mult_bits != mult_bits) {
-        ++discarded_;
-        it = cache_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (const SpecParams& p : preds) {
-      if (cache_.size() >= width_) break;
-      SpecKey k = key_of(p);
-      if (cache_.contains(k)) continue;
-      ensure_snapshot(nl, pl, tg);
-      auto snap = snapshot_;
-      const LinearDelayModel* dm = &dm_;
-      const EngineOptions* opt = &opt_;
-      cache_.emplace(k, pool_->submit([snap, p, lower_bound, dm, opt] {
-        // Workers must not perturb the deterministic timing counters the
-        // oracle tests assert on.
-        TimingCounterSuppressor suppress;
-        return compute_speculation(*snap->nl, *snap->pl, *snap->tg, *dm, *opt,
-                                   p, lower_bound, /*dp_pool=*/nullptr);
-      }));
-      ++launched_;
-    }
-  }
-
-  /// The iteration's actual demand. A cache hit joins the worker's future
-  /// (snapshot == live state by construction, so the result is bit-identical
-  /// to computing now); a miss computes inline on the live state, with the
-  /// pool accelerating the embedder's DP columns.
-  SpecOutcome obtain(const Netlist& nl, const Placement& pl,
-                     const TimingGraph& tg, const SpecParams& p,
-                     double lower_bound) {
-    auto it = cache_.find(key_of(p));
-    if (it != cache_.end()) {
-      SpecOutcome out = it->second.get();
-      cache_.erase(it);
-      ++hits_;
-      return out;
-    }
-    return compute_speculation(nl, pl, tg, dm_, opt_, p, lower_bound, pool_);
-  }
-
-  /// The live state changed (a successful apply): every in-flight or cached
-  /// speculation targets a stale snapshot. Drop them; workers still running
-  /// keep the snapshot alive via shared_ptr and their results are ignored.
-  void invalidate() {
-    discarded_ += cache_.size();
-    cache_.clear();
-    snapshot_.reset();
-  }
-
-  std::uint64_t launched() const { return launched_; }
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t discarded() const { return discarded_; }
-
- private:
-  void ensure_snapshot(const Netlist& nl, const Placement& pl,
-                       const TimingGraph& tg) {
-    if (snapshot_) return;
-    auto s = std::make_shared<EngineSnapshot>();
-    s->nl = std::make_unique<Netlist>(nl);
-    s->pl = std::make_unique<Placement>(pl.with_netlist(*s->nl));
-    s->tg = std::make_unique<TimingGraph>(tg.rebound_copy(*s->nl, *s->pl));
-    snapshot_ = std::move(s);
-  }
-
-  ThreadPool* pool_;
-  const LinearDelayModel& dm_;
-  const EngineOptions& opt_;
-  std::size_t width_;
-  std::shared_ptr<EngineSnapshot> snapshot_;
-  std::unordered_map<SpecKey, std::future<SpecOutcome>, SpecKeyHash> cache_;
-  std::uint64_t launched_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t discarded_ = 0;
-};
 
 }  // namespace
 
@@ -501,19 +347,13 @@ EngineResult run_replication_engine(Netlist& nl, Placement& pl,
   // fresh TimingGraph.
   TimingEngine eng(nl, pl, dm);
 
-  // Thread pool for speculative embedding. Declared before the speculation
-  // manager: abandoned worker tasks may outlive the manager and must finish
-  // (they own their snapshot) before the pool joins in ~ThreadPool.
+  // Thread pool for the embedder's join columns (null = serial).
   const int threads =
       opt.num_threads > 0 ? opt.num_threads
                           : static_cast<int>(ThreadPool::hardware_threads());
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(static_cast<unsigned>(threads));
   res.num_threads_used = threads;
-  const std::size_t spec_width =
-      opt.speculation_width > 0 ? static_cast<std::size_t>(opt.speculation_width)
-                                : static_cast<std::size_t>(std::max(4, threads + 2));
-  SpeculationManager spec(pool.get(), dm, opt, spec_width);
 
   Snapshot best;
   double lower_bound = 0;
@@ -581,9 +421,7 @@ EngineResult run_replication_engine(Netlist& nl, Placement& pl,
       }
     }
 
-    // The near-critical band, slowest first. Also the speculation horizon:
-    // sinks after the selected one are what the serial schedule turns to
-    // next when the current sink parks.
+    // The near-critical band, slowest first.
     std::vector<TimingNodeId> band = tg.sinks();
     std::sort(band.begin(), band.end(), [&](TimingNodeId a, TimingNodeId b) {
       return tg.arrival(a) > tg.arrival(b);
@@ -592,9 +430,7 @@ EngineResult run_replication_engine(Netlist& nl, Placement& pl,
     // Choose the slowest sink in the band that is not stuck (stuck entries
     // are retried once their arrival has changed).
     TimingNodeId sink;
-    std::size_t sink_band_pos = 0;
-    for (std::size_t b = 0; b < band.size(); ++b) {
-      TimingNodeId s = band[b];
+    for (TimingNodeId s : band) {
       if (tg.arrival(s) < crit * 0.75) break;
       CellId c = tg.node(s).cell;
       // Retry a parked sink only on a meaningful arrival change; a 1e-9
@@ -604,7 +440,6 @@ EngineResult run_replication_engine(Netlist& nl, Placement& pl,
         stuck_at.erase(c);
       }
       sink = s;
-      sink_band_pos = b;
       break;
     }
     if (!sink.valid()) {
@@ -643,49 +478,12 @@ EngineResult run_replication_engine(Netlist& nl, Placement& pl,
                                nl.cell(sink_cell).registered;
     is.ff_relocation = ff_relocation;
 
-    const SpecParams current{sink, sink_cell, epsilon, ff_relocation,
+    const IterationParams ip{sink, sink_cell, epsilon, ff_relocation,
                              repl_cost_mult};
-
-    // Predict where the serial schedule goes if this iteration fails to
-    // change the state (every failure path leaves nl/pl/timing bit-intact,
-    // so these keys stay demandable until the next successful apply):
-    //  1. the epsilon ladder on this sink — replays the exact bookkeeping
-    //     above, including the repeated-addition epsilon accumulation (FP
-    //     bit-exactness) and the ff-relocation escalation;
-    //  2. the band sinks after this one — what selection falls to once this
-    //     sink parks (fresh sink: epsilon 0, no ff escalation).
-    std::vector<SpecParams> predictions;
-    {
-      const bool sink_is_ff = opt.enable_ff_relocation &&
-                              nl.cell(sink_cell).kind == CellKind::kLogic &&
-                              nl.cell(sink_cell).registered;
-      int k = nonimprove_for_sink;
-      double e = epsilon;
-      const double step = opt.eps_step_fraction * crit;
-      while (true) {
-        ++k;
-        e += step;
-        if (k > opt.max_eps_steps) break;
-        predictions.push_back(
-            SpecParams{sink, sink_cell, e, sink_is_ff && k >= 3, repl_cost_mult});
-      }
-      for (std::size_t b = sink_band_pos + 1; b < band.size(); ++b) {
-        TimingNodeId s = band[b];
-        if (tg.arrival(s) < crit * 0.75) break;
-        CellId c = tg.node(s).cell;
-        if (stuck_at.contains(c) && tg.arrival(s) >= stuck_at.at(c) - 0.002 * crit)
-          continue;
-        predictions.push_back(SpecParams{s, c, 0.0, false, repl_cost_mult});
-      }
-    }
-    spec.prefetch(nl, pl, tg, lower_bound, predictions);
-
-    SpecOutcome oc = spec.obtain(nl, pl, tg, current, lower_bound);
+    IterationOutcome oc =
+        compute_iteration(nl, pl, tg, dm, opt, ip, lower_bound, pool.get());
     is.tree_internal = oc.tree_internal;
     if (oc.region_truncated) {
-      // Counted on consumption, not computation: speculative prefetches that
-      // are never obtained don't perturb the counter, so it is a pure
-      // function of the serial trajectory (identical for any thread count).
       if (res.region_truncations == 0)
         LOG_WARN() << "embedding region truncated to max_region_points="
                    << opt.max_region_points
@@ -693,11 +491,11 @@ EngineResult run_replication_engine(Netlist& nl, Placement& pl,
                       "sink; further truncations logged in the counter only)";
       ++res.region_truncations;
     }
-    if (oc.status == SpecOutcome::Status::kEmptyTree) {
+    if (oc.status == IterationOutcome::Status::kEmptyTree) {
       res.history.push_back(is);
       continue;  // nothing movable; the epsilon schedule advances
     }
-    if (oc.status == SpecOutcome::Status::kTreeTooBig) {
+    if (oc.status == IterationOutcome::Status::kTreeTooBig) {
       // Too large to embed within the runtime budget; park this sink (other
       // near-critical sinks may have smaller cones) and move on.
       stuck_at.set(sink_cell, tg.arrival(sink));
@@ -706,7 +504,7 @@ EngineResult run_replication_engine(Netlist& nl, Placement& pl,
       res.history.push_back(is);
       continue;
     }
-    if (oc.status == SpecOutcome::Status::kNoSolution) {
+    if (oc.status == IterationOutcome::Status::kNoSolution) {
       res.history.push_back(is);
       continue;
     }
@@ -730,9 +528,7 @@ EngineResult run_replication_engine(Netlist& nl, Placement& pl,
       // Out of free slots (Section VII-B): roll this iteration back and
       // make replication more expensive so the embedder favors relocation
       // and unification on the next attempts. The rollback is bit-exact
-      // (Netlist/Placement copy-assign + TimingEngine shadow restore), so
-      // cached speculations against the pre-iteration state stay valid —
-      // only entries keyed to the old cost multiplier become unreachable.
+      // (Netlist/Placement copy-assign + TimingEngine shadow restore).
       nl = *iteration_start.nl;
       pl = iteration_start.pl->with_netlist(nl);
       eng.rollback();
@@ -758,9 +554,6 @@ EngineResult run_replication_engine(Netlist& nl, Placement& pl,
         continue;
       }
     }
-
-    // The iteration stuck: the live state diverged from every snapshot.
-    spec.invalidate();
 
     replicated_cum += ex.replicated;
     unified_cum += ex.deleted + un.cells_deleted + leg.unifications;
@@ -792,9 +585,6 @@ EngineResult run_replication_engine(Netlist& nl, Placement& pl,
   res.final_blocks = nl.num_live_cells();
   res.total_replicated = replicated_cum;
   res.total_unified = unified_cum;
-  res.speculations_launched = spec.launched();
-  res.speculation_hits = spec.hits();
-  res.speculations_discarded = spec.discarded();
   return res;
 }
 

@@ -90,20 +90,13 @@ struct EngineOptions {
   bool flat_scratch = true;
   LegalizerOptions legalizer;
 
-  /// Threads for speculative embedding and the parallel embedder join
-  /// (0 = hardware concurrency, 1 = fully serial). The optimization
-  /// trajectory is bit-identical for every value: speculation only
-  /// *prefetches* the embeddings the serial schedule would compute anyway,
-  /// and a speculative result is consumed only when the serial selection
-  /// logic demands exactly that (sink, epsilon, ff, cost-multiplier) key.
+  /// Threads for the embedder's join columns (0 = hardware concurrency,
+  /// 1 = fully serial). The optimization trajectory is bit-identical for
+  /// every value: the chunked join merges its results in vertex order.
   int num_threads = 0;
-  /// Maximum speculative embeddings in flight per placement snapshot
-  /// (0 = auto: max(4, threads + 2)).
-  int speculation_width = 0;
 
   /// Cooperative cancellation (flow service stage timeouts): checked once
-  /// per engine iteration; throws FlowCancelled. In-flight speculative
-  /// embeddings drain safely during unwind (they own their snapshot).
+  /// per engine iteration; throws FlowCancelled.
   const CancelToken* cancel = nullptr;
 };
 
@@ -132,17 +125,17 @@ struct EngineResult {
   bool reached_lower_bound = false;  ///< Section VII-B monotone bound
   double lower_bound = 0;
   /// Iterations whose embedding region was shrunk by the max_region_points
-  /// guard (0 when the guard is off). Deterministic: counted when an outcome
-  /// is consumed by the serial selection loop, never on speculative
-  /// computation, so the value is identical for every thread count.
+  /// guard (0 when the guard is off). Identical for every thread count.
   std::uint64_t region_truncations = 0;
   std::vector<IterationStats> history;
 
-  /// Parallel speculation accounting (docs/ALGORITHMS.md §11).
-  int num_threads_used = 1;
-  std::uint64_t speculations_launched = 0;   ///< prefetches handed to workers
-  std::uint64_t speculation_hits = 0;        ///< iterations served from cache
-  std::uint64_t speculations_discarded = 0;  ///< invalidated before use
+  int num_threads_used = 1;  ///< join threads (docs/ALGORITHMS.md §11)
+  /// Always 0: the engine no longer speculates. Kept only because
+  /// flowbench still reads them for its replicate.spec_* per-layer metrics;
+  /// a later benchmark change removes the fields and those metrics together.
+  std::uint64_t speculations_launched = 0;
+  std::uint64_t speculation_hits = 0;
+  std::uint64_t speculations_discarded = 0;
 };
 
 /// The paper's optimization engine (Fig. 10/11): starting from a legal

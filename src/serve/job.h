@@ -47,7 +47,7 @@ struct JobSpec {
   std::string variant = "lex3";  ///< rt|lex2|lex3|lex4|lex5|mc|none
   std::string placer;  ///< annealer|analytic|hybrid; "" = service default
   bool route = true;             ///< evaluate routed metrics (W_inf / W_ls)
-  int engine_threads = 1;        ///< speculation threads inside this job
+  int engine_threads = 1;        ///< embedder join threads inside this job
   /// Per-stage wall-clock timeout override in seconds (0 = service default).
   double timeout_seconds = 0;
 

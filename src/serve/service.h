@@ -18,7 +18,7 @@ namespace repro {
 struct ServiceOptions {
   /// Concurrent jobs (0 = hardware concurrency, 1 = sequential).
   int threads = 1;
-  /// Default speculation threads inside each job's replication engine
+  /// Default embedder join threads inside each job's replication engine
   /// (results are bit-identical for every value; 1 avoids oversubscribing
   /// when many jobs run concurrently). JobSpec::engine_threads overrides.
   int engine_threads = 1;

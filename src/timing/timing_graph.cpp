@@ -203,11 +203,4 @@ std::vector<TimingNodeId> TimingGraph::critical_path() const {
   return path;
 }
 
-TimingGraph TimingGraph::rebound_copy(const Netlist& nl, const Placement& pl) const {
-  TimingGraph g(*this);  // memberwise copy: no rebuild, no counter bump
-  g.nl_ = &nl;
-  g.pl_ = &pl;
-  return g;
-}
-
 }  // namespace repro

@@ -119,12 +119,6 @@ class TimingGraph {
   /// sink (inclusive).
   std::vector<TimingNodeId> critical_path() const;
 
-  /// Copy of this graph (structure, delays, arrivals — no re-analysis)
-  /// rebound to equivalent snapshot objects with the same id space. The
-  /// replication engine's speculation workers read such copies while the
-  /// main thread mutates the live netlist/placement.
-  TimingGraph rebound_copy(const Netlist& nl, const Placement& pl) const;
-
   /// Intrinsic delay charged on edges into this node (LUT/pad delay).
   double node_intrinsic_delay(TimingNodeId n) const;
 

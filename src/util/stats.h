@@ -38,9 +38,9 @@ class StatAccumulator {
 /// engine's main loop") and the benches report them, so the incremental win
 /// is observable rather than asserted.
 ///
-/// The fields are atomics: the replication engine's speculation workers run
-/// oracle-style TimingGraph constructions and STA sweeps on worker threads,
-/// and those must neither corrupt the counts nor race with readers.
+/// The fields are atomics: the flow service runs several jobs' timing
+/// engines concurrently, and their counts must neither be lost nor race
+/// with readers.
 struct TimingCounters {
   std::atomic<std::uint64_t> graph_builds{0};        ///< TimingGraph constructions (bootstrap/oracle)
   std::atomic<std::uint64_t> full_sta_passes{0};     ///< complete run_sta sweeps (all edges + all nodes)
@@ -86,8 +86,8 @@ class TimingCounterSuppressor {
 /// field records the peak capacity, in bytes, that one arena family ever
 /// reached in this process; reuse/growth counts show how often a call was
 /// served without any allocation. Like TimingCounters these are atomics —
-/// the replication engine's speculation workers run SPT extraction and
-/// embedding on worker threads with thread-local arenas, all reporting here.
+/// concurrent service jobs run SPT extraction and embedding on their own
+/// threads with thread-local arenas, all reporting here.
 struct ArenaCounters {
   std::atomic<std::uint64_t> spt_scratch_bytes{0};       ///< SPT extraction arenas
   std::atomic<std::uint64_t> monotone_scratch_bytes{0};  ///< monotone-bound arenas

@@ -17,21 +17,21 @@ namespace repro {
 
 /// Small work-stealing thread pool (no external dependencies).
 ///
-/// Built for the replication engine's speculative fan-out and the embedder's
-/// per-vertex join parallelism:
+/// Runs the embedder's per-vertex join, the analytic placer's gradient and
+/// density loops, and the flow service's concurrent jobs:
 ///
-///  * `submit(fn)` enqueues a task and returns a `std::future` — used for
-///    sink-level speculation, where the main thread later harvests (or
-///    discards) each result;
+///  * `submit(fn)` enqueues a task and returns a `std::future` — used by the
+///    service scheduler, one task per job;
 ///  * `parallel_for(n, grain, fn)` splits an index range into chunks and
 ///    runs them on the pool *and* on the calling thread — used for the
-///    embedder's `A[i][*]` column loop. The caller participates in the chunk
-///    loop, so nesting a `parallel_for` inside a pool task cannot deadlock:
-///    progress never depends on another worker becoming free.
+///    embedder's `A[i][*]` column loop and the placer's loops. The caller
+///    participates in the chunk loop, so nesting a `parallel_for` inside a
+///    pool task cannot deadlock: progress never depends on another worker
+///    becoming free.
 ///
 /// Each worker owns a deque protected by a small mutex: owners push/pop at
 /// the back (LIFO, keeps the working set hot and runs freshly spawned
-/// `parallel_for` chunks before older speculation tasks), thieves steal from
+/// `parallel_for` chunks before older submitted tasks), thieves steal from
 /// the front (FIFO). A pool constructed with `threads <= 1` spawns no
 /// workers; `submit` then runs the task inline, and `parallel_for` degrades
 /// to a plain serial loop.

@@ -1,11 +1,11 @@
-// Parallel speculative embedding (docs/ALGORITHMS.md §11).
+// Parallel embedder join (docs/ALGORITHMS.md §11).
 //
 // The hard guarantee under test: the optimization trajectory is BIT-IDENTICAL
-// for every thread count. num_threads=1 must reproduce the pre-PR serial
-// engine exactly (hard-coded hexfloat goldens below were captured from the
-// serial engine before the thread pool existed), and any other thread count
-// must reproduce the num_threads=1 run — speculation only prefetches the
-// embeddings the serial schedule was going to compute anyway.
+// for every thread count. num_threads=1 must reproduce the serial engine
+// exactly (hard-coded hexfloat goldens below were captured from the serial
+// engine before the thread pool existed), and any other thread count must
+// reproduce the num_threads=1 run — the chunked join merges its results in
+// vertex order, so the pool size never reaches the output.
 
 #include <gtest/gtest.h>
 
@@ -57,9 +57,9 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
 }
 
 TEST(ThreadPool, ParallelForInsidePoolTaskDoesNotDeadlock) {
-  // The embedder's join parallel_for can run inside a speculation task; the
-  // caller participates in its own chunk loop, so this must complete even
-  // when every worker is busy.
+  // A parallel_for issued from inside a task of the same pool must complete
+  // even when every worker is busy: the caller participates in its own
+  // chunk loop.
   ThreadPool pool(2);
   std::vector<std::future<long>> futs;
   for (int t = 0; t < 4; ++t) {
@@ -242,8 +242,8 @@ void expect_identical_runs(const ParallelHarness& a, const EngineResult& ra,
 
 TEST(ParallelEngine, SerialMatchesPrePrGoldens) {
   // Hexfloat trajectories captured from the serial engine BEFORE the thread
-  // pool / speculation machinery existed (same toolchain and flags). Any
-  // drift here means the refactor changed the serial algorithm.
+  // pool existed (same toolchain and flags). Any drift here means a refactor
+  // changed the serial algorithm.
   struct Golden {
     std::uint64_t seed;
     double final_critical;
@@ -269,7 +269,6 @@ TEST(ParallelEngine, SerialMatchesPrePrGoldens) {
     EXPECT_EQ(r.total_replicated, g.replicated);
     EXPECT_EQ(r.total_unified, g.unified);
     EXPECT_EQ(r.num_threads_used, 1);
-    EXPECT_EQ(r.speculations_launched, 0u);  // no workers, no speculation
   }
 }
 
@@ -282,10 +281,6 @@ TEST(ParallelEngine, TrajectoryIdenticalAcrossThreadCounts) {
     EngineResult r = run_at(h, threads);
     expect_identical_runs(base, rbase, h, r, "threads vs serial");
     EXPECT_EQ(r.num_threads_used, threads);
-    // Speculation must actually engage (hits are iterations served from the
-    // prefetch cache) — otherwise this test exercises nothing.
-    EXPECT_GT(r.speculations_launched, 0u);
-    EXPECT_GT(r.speculation_hits, 0u);
     // Function and legality preserved under concurrency.
     EXPECT_TRUE(h.pl.legal()) << h.pl.check_legal();
     EXPECT_TRUE(h.nl.validate().empty()) << h.nl.validate();
@@ -293,13 +288,13 @@ TEST(ParallelEngine, TrajectoryIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelEngine, RollbackUnderSpeculationLeavesStateUntouched) {
+TEST(ParallelEngine, RollbackAtFourThreadsMatchesSerialOracle) {
   // Dense fixture: almost no spare slots, so legalization fails and the
-  // engine exercises the rollback path (which must keep — not invalidate —
-  // the speculation cache, and must restore bit-exact state). The serial
-  // run is the oracle.
+  // engine exercises the rollback path, which must restore bit-exact state
+  // with the parallel join running. The serial run is the oracle.
   ParallelHarness base(31, /*slack=*/0);
   EngineResult rbase = run_at(base, /*threads=*/1, /*max_iterations=*/30);
+  ASSERT_TRUE(rbase.ran_out_of_slots);  // the fixture reaches the rollback
   for (int threads : {4}) {
     SCOPED_TRACE(threads);
     ParallelHarness h(31, /*slack=*/0);

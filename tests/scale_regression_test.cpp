@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "arch/delay_model.h"
@@ -136,6 +137,10 @@ struct Golden {
   std::uint64_t post_nl_fp;
   std::uint64_t post_pl_fp;
 };
+
+// gtest otherwise prints the parameter as raw bytes, which include the
+// address of `circuit` and so give the test a different name on every run.
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.circuit; }
 
 constexpr Golden kGoldens[] = {
     {"ex5p", 9007716736109602111ull, 105, 6640744256810646108ull,

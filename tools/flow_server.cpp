@@ -97,7 +97,7 @@ int usage() {
                "                       an open_session whose id has a file there\n"
                "                       resumes it mid-stream\n"
                "  --threads N          concurrent jobs (0 = hardware, default 1)\n"
-               "  --engine-threads N   speculation threads per job (default 1)\n"
+               "  --engine-threads N   embedder join threads per job (default 1)\n"
                "  --job-timeout S      per-stage wall-clock timeout in seconds\n"
                "  --max-retries N      retries for failed (not timed-out) jobs\n"
                "  --stable             omit wall-clock fields from results so\n"

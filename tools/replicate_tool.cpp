@@ -69,7 +69,7 @@ int usage() {
       "  --placer BACKEND   annealer | analytic | hybrid (default annealer,\n"
       "                     or REPRO_PLACER); see DESIGN.md section 10\n"
       "  --variant V        rt|lex2|lex3|lex4|lex5|mc|local|none (default lex3)\n"
-      "  --threads N        speculation threads (0 = hardware, 1 = serial;\n"
+      "  --threads N        embedder join threads (0 = hardware, 1 = serial;\n"
       "                     results are identical for every value)\n"
       "  --route            evaluate routed W_inf / W_ls critical paths\n"
       "  --route-astar 0|1        A* lookahead in the maze router (default 1)\n"
