@@ -61,6 +61,16 @@ struct EmbedOptions {
   int parallel_min_vertices = 96;
 };
 
+/// One frontier A[i][j]: the labels of subtree i driven from vertex j, split
+/// into a hot key array, which the dominance scan walks, and a cold array
+/// with the provenance; cold[k] belongs to key[k]. The live keys form an
+/// antichain: none dominates another (docs/ALGORITHMS.md §1).
+struct LabelList {
+  std::vector<LabelKey> key;
+  std::vector<LabelCold> cold;
+  std::uint32_t live = 0;  ///< keys with dead == 0
+};
+
 /// Reusable embedder storage. Constructing a FaninTreeEmbedder with a
 /// scratch adopts the previously grown A[i][j] tables, label-list
 /// capacities and spill pools, and the destructor returns them, so a loop
@@ -69,8 +79,8 @@ struct EmbedOptions {
 /// One scratch must serve at most one live embedder at a time; the engine
 /// keeps one per thread, so concurrent service jobs never share one.
 struct EmbedScratch {
-  std::vector<std::vector<std::vector<Label>>> a;
-  std::vector<std::vector<std::uint32_t>> spill;
+  std::vector<std::vector<LabelList>> a;
+  std::vector<std::uint32_t> spill;
 };
 
 /// One entry of the root trade-off curve.
@@ -93,6 +103,10 @@ class FaninTreeEmbedder {
   /// gate creation (blocked slot / wrong resource type): the wavefront may
   /// route through it, but no join is made there.
   static constexpr double kForbiddenCost = 1e8;
+  /// Most children a tree node may have (a join keeps its partial child
+  /// indices inline). Trees built from a netlist have at most
+  /// Netlist::kMaxLutInputs (6); the constructor rejects wider trees.
+  static constexpr std::size_t kMaxFanin = 8;
 
   FaninTreeEmbedder(const FaninTree& tree, const EmbeddingGraph& graph,
                     PlacementCostFn placement_cost, EmbedOptions options = {},
@@ -119,52 +133,71 @@ class FaninTreeEmbedder {
 
   /// Diagnostics.
   std::size_t labels_created() const { return labels_created_; }
+  /// Debugging check, O(n^2) per frontier and never called by the DP: true
+  /// if no live label in any A[i][j] dominates another live label there and
+  /// every list's live count is right. insert_label's one-walk scan is exact
+  /// only under this invariant.
+  bool frontiers_are_antichains() const;
 
  private:
+  static constexpr std::uint32_t kRejected = ~std::uint32_t{0};
+
   struct PartialJoin {
     double cost = 0;
     DelayVec delay;
     int mc_weight = 0;
     int sum_branch_bits = 0;
-    std::vector<std::uint32_t> child_labels;
+    /// Label index in A[child][j] of each child folded so far.
+    std::uint32_t child_labels[kMaxFanin] = {};
   };
 
-  /// Per-worker join buffers, reused across the vertices of one chunk so the
-  /// partial-fold vectors stop reallocating in the hot loop.
-  struct JoinScratch {
+  /// Per-worker buffers, reused across the vertices of one chunk so the
+  /// partial-fold vectors and cap_list's sort order stop reallocating in the
+  /// hot loops.
+  struct WorkBuffers {
     std::vector<PartialJoin> partials;
     std::vector<PartialJoin> next;
+    std::vector<std::uint32_t> cap_order;
   };
 
-  bool dominates(const Label& a, const Label& b) const;
-  bool insert_label(std::vector<Label>& list, Label l, std::uint32_t* index_out,
-                    std::size_t& created);
-  void cap_list(std::vector<Label>& list);
+  /// True if `a` dominates `b`, given c = a.delay.lex_compare(b.delay).
+  bool dominates(const LabelKey& a, const LabelKey& b, int c) const {
+    return a.cost <= b.cost && c <= 0 &&
+           (!opt_.overlap_avoidance || a.branching <= b.branching) &&
+           (!stem_delay_ || a.stem_len <= b.stem_len);
+  }
+  /// Appends the label unless a live label of `list` dominates it, killing
+  /// the live labels it dominates. Returns its index, or kRejected.
+  std::uint32_t insert_label(LabelList& list, const LabelKey& key,
+                             const LabelCold& cold, WorkBuffers& wb,
+                             std::size_t& created);
+  void cap_list(LabelList& list, std::vector<std::uint32_t>& order);
   void wavefront(TreeNodeId i);
   void join_node(TreeNodeId i, bool root_mode);
   /// Joins node i at every vertex in [lo, hi), appending >2-child provenance
-  /// to `spill` with indices local to it, and counting new labels in
+  /// to `spill` with offsets local to it, and counting new labels in
   /// `created`. Writes only A[i][lo..hi) — safe to run ranges concurrently.
   void join_vertex_range(TreeNodeId i, std::size_t lo, std::size_t hi,
-                         JoinScratch& js,
-                         std::vector<std::vector<std::uint32_t>>& spill,
+                         WorkBuffers& wb, std::vector<std::uint32_t>& spill,
                          std::size_t& created);
-  Label make_join_label(TreeNodeId i, EmbedVertexId j, const PartialJoin& p,
-                        std::vector<std::vector<std::uint32_t>>& spill);
-  double augment_delay_delta(const Label& from, double edge_delay_or_len) const;
+  double augment_delay_delta(std::int32_t stem_len, double edge_delay_or_len) const;
 
   const FaninTree& tree_;
   const EmbeddingGraph& graph_;
   PlacementCostFn pcost_;
   EmbedOptions opt_;
+  bool stem_delay_ = false;  ///< opt_.stem_delay is set
   EmbedScratch* scratch_ = nullptr;
 
   /// A[i][j]: labels for subtree i driven from vertex j. Branching labels
   /// (initial / join) and augmented labels share the list; the branching
   /// flag distinguishes them.
-  std::vector<std::vector<std::vector<Label>>> a_;
-  /// Spill pool for join provenance with > 2 children.
-  std::vector<std::vector<std::uint32_t>> spill_;
+  std::vector<std::vector<LabelList>> a_;
+  /// Spill pool for join provenance with > 2 children: each such label's
+  /// child indices, contiguous from its Provenance::spill_index.
+  std::vector<std::uint32_t> spill_;
+  /// Buffers of the serial phases (wavefront, serial join).
+  WorkBuffers buffers_;
 
   std::vector<RootSolution> tradeoff_;
   std::size_t labels_created_ = 0;
