@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "embed/embedder.h"
 #include "embed/embedding_graph.h"
@@ -372,6 +375,27 @@ TEST(EmbedderOverlap, CapacityTwoAllowsOnePair) {
   auto cheapest = e.extract(0);
   EXPECT_EQ(cheapest.at(g1), cheapest.at(g2));
   EXPECT_EQ(g.point(cheapest.at(g1)), (Point{0, 0}));
+}
+
+TEST(Embedder, RejectsTreesWiderThanMaxFanin) {
+  // A join keeps its partial child indices inline, so the embedder refuses a
+  // node with more children than it has room for instead of overrunning.
+  EmbeddingGraph g = EmbeddingGraph::make_grid({0, 0, 3, 3}, 1.0, 1.0);
+  auto tree_with_fanin = [](std::size_t fanin) {
+    FaninTree tree;
+    std::vector<TreeNodeId> leaves;
+    for (std::size_t k = 0; k < fanin; ++k)
+      leaves.push_back(tree.add_leaf("l" + std::to_string(k),
+                                     {static_cast<int>(k % 4), 0}, 0.0, true));
+    tree.set_root(tree.add_gate("root", leaves, 1.0), {3, 3});
+    return tree;
+  };
+  FaninTree widest = tree_with_fanin(FaninTreeEmbedder::kMaxFanin);
+  FaninTreeEmbedder ok(widest, g, nullptr, EmbedOptions{});
+  EXPECT_TRUE(ok.run());
+  FaninTree too_wide = tree_with_fanin(FaninTreeEmbedder::kMaxFanin + 1);
+  EXPECT_THROW(FaninTreeEmbedder(too_wide, g, nullptr, EmbedOptions{}),
+               std::invalid_argument);
 }
 
 TEST(EmbedderRoot, RelocatableRootImprovesDelay) {
