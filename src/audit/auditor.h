@@ -31,7 +31,8 @@ AuditLevel audit_level_from_env(AuditLevel fallback = AuditLevel::kOff);
 
 /// Thrown when a stage fails its audit (any finding at kError or worse).
 /// Deterministic for a given input — retrying the job cannot help — so the
-/// scheduler quarantines the job instead of retrying (see serve/scheduler.h).
+/// service quarantines the job instead of retrying (see RetryPolicy in
+/// serve/service.h).
 class AuditError : public std::runtime_error {
  public:
   AuditError(std::string stage, AuditReport report);

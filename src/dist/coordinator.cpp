@@ -9,49 +9,23 @@
 #include <chrono>
 #include <cstdio>
 #include <deque>
-#include <filesystem>
-#include <fstream>
 #include <thread>
 
-#include "audit/auditor.h"
 #include "dist/frame.h"
 #include "dist/protocol.h"
 #include "serve/snapshot.h"
 #include "serve/wire.h"
-#include "util/cancel.h"
 #include "util/log.h"
 
 namespace repro {
 namespace {
 
+const char* const kShutdownMessage =
+    "service shut down before the job finished";
+
 double mono_seconds() {
   using clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
-}
-
-/// Atomic byte-level file write (tmp + rename), used for checkpoints a
-/// worker streamed: the bytes are already a complete serialized snapshot,
-/// so re-parsing them just to call write_snapshot_file would be waste.
-void write_bytes_atomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f || !f.write(bytes.data(), static_cast<std::streamsize>(bytes.size())))
-      throw std::runtime_error("cannot write checkpoint " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec)
-    throw std::runtime_error("cannot rename checkpoint " + tmp + ": " +
-                             ec.message());
-}
-
-std::string read_file_bytes(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return "";
-  std::string bytes((std::istreambuf_iterator<char>(f)),
-                    std::istreambuf_iterator<char>());
-  return f.bad() ? "" : bytes;
 }
 
 }  // namespace
@@ -80,10 +54,16 @@ std::string DistStats::summary() const {
 }
 
 struct Coordinator::Impl {
-  explicit Impl(Coordinator& self) : self_(self), opt_(self.opt_) {}
+  explicit Impl(Coordinator& self)
+      : self_(self),
+        opt_(self.opt_),
+        policy_(opt_.service, &self.shutdown_requested_) {}
 
   Coordinator& self_;
   const CoordinatorOptions& opt_;
+  /// Settles every attempt, remote or in-process, and keeps the job
+  /// counters across batches.
+  RetryPolicy policy_;
 
   UniqueFd listen_fd_;
   SocketAddr bound_;
@@ -111,27 +91,14 @@ struct Coordinator::Impl {
   int respawns_used_ = 0;
   bool batch_active_ = false;
 
-  // ServiceStats-compatible counters (single event-loop thread writes them;
-  // stats() is called between batches on the same thread).
-  std::uint64_t jobs_completed_ = 0, jobs_failed_ = 0, jobs_timed_out_ = 0,
-                jobs_interrupted_ = 0, jobs_quarantined_ = 0,
-                jobs_invalid_ = 0, jobs_retried_ = 0, jobs_resumed_ = 0,
-                checkpoints_written_ = 0, checkpoint_bytes_ = 0;
-  double queue_latency_total_ = 0, queue_latency_max_ = 0;
-
   // ---- per-batch runtime ---------------------------------------------------
-  struct JobRt {
+  struct JobRt : JobTicket {
     int index = -1;  ///< batch index = position in jobs_/results
-    const JobSpec* spec = nullptr;
-    JobResult* result = nullptr;
-    int attempt = 1;
     std::string ckpt;  ///< latest stage-boundary snapshot bytes ("" = none)
     std::vector<int> dead_workers;  ///< distinct worker_ids that died on it
     double ready_at = 0;            ///< retry backoff gate
-    double first_assign = -1;
-    bool finished = false;
     bool local_only = false;  ///< quarantined from remote execution
-    std::uint64_t backoff_seed = 0;
+    const std::string& id() const { return result->spec.id; }
   };
   std::vector<JobRt> jobs_;
   std::deque<int> pending_;
@@ -257,15 +224,7 @@ struct Coordinator::Impl {
   // ---- batch ---------------------------------------------------------------
 
   std::vector<JobResult> run_batch(const std::vector<JobSpec>& specs) {
-    if (!opt_.service.checkpoint_dir.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(
-          std::filesystem::path(opt_.service.checkpoint_dir), ec);
-      if (ec)
-        throw std::runtime_error("cannot create checkpoint dir " +
-                                 opt_.service.checkpoint_dir + ": " +
-                                 ec.message());
-    }
+    create_checkpoint_dir(opt_.service);
 
     std::vector<JobResult> results(specs.size());
     jobs_.clear();
@@ -281,20 +240,15 @@ struct Coordinator::Impl {
       results[i].spec = specs[i];
       JobRt& jr = jobs_[i];
       jr.index = static_cast<int>(i);
-      jr.spec = &specs[i];
       jr.result = &results[i];
       if (!errors[i].empty()) {
-        results[i].state = JobState::kFailed;
-        results[i].error_code = kJobInvalidSpec;
-        results[i].error = errors[i];
+        policy_.reject(results[i], errors[i]);
         jr.finished = true;
-        ++jobs_invalid_;
         continue;
       }
       jr.backoff_seed = fnv1a64(specs[i].id);
       if (opt_.service.resume && !opt_.service.checkpoint_dir.empty())
-        jr.ckpt = read_file_bytes(opt_.service.checkpoint_dir + "/" +
-                                  specs[i].id + ".ckpt");
+        read_file(checkpoint_path(opt_.service, jr.id()), &jr.ckpt);
       pending_.push_back(static_cast<int>(i));
       ++unfinished_;
     }
@@ -308,17 +262,13 @@ struct Coordinator::Impl {
     event_loop();
 
     if (shutting_down()) {
-      for (JobRt& jr : jobs_) {
-        if (jr.finished) continue;
-        jr.result->state = JobState::kCheckpointed;
-        jr.result->error_code = kJobInterrupted;
-        if (jr.result->error.empty())
-          jr.result->error = "service shut down before the job finished";
-        jr.result->attempts = jr.attempt;
-        jr.finished = true;
-        --unfinished_;
-        ++jobs_interrupted_;
-      }
+      // Unlike FlowService, whose jobs all start and unwind through their
+      // kill flag, jobs still queued here never ran; they are reported
+      // interrupted with this message unless an earlier attempt left one.
+      for (JobRt& jr : jobs_)
+        if (!jr.finished)
+          end_attempt(jr, AttemptOutcome::kKilled,
+                      jr.result->error.empty() ? kShutdownMessage : "");
     }
     batch_active_ = false;
     return results;
@@ -387,8 +337,6 @@ struct Coordinator::Impl {
       while (!c.dead && c.decoder.next(&f)) handle_frame(c, f);
     } catch (const FrameError& e) {
       ++self_.dist_stats_.frame_errors;
-      LOG_WARN() << "coordinator: dropping worker " << c.worker_id << ": "
-                 << e.what();
       on_worker_death(c, e.what());
     }
   }
@@ -431,9 +379,8 @@ struct Coordinator::Impl {
         JobRt* jr = job_for(m.job_index);
         if (c.job == static_cast<int>(m.job_index)) c.job = -1;
         if (!jr || jr->finished) break;
-        if (m.resumed && m.attempt == 1) ++jobs_resumed_;
         apply_result_payload(m, *jr->result);
-        settle(*jr, m.outcome, m.error);
+        end_attempt(*jr, m.outcome, m.error);
         if (jr->finished) ++self_.dist_stats_.jobs_completed_remote;
         break;
       }
@@ -448,11 +395,9 @@ struct Coordinator::Impl {
   }
 
   void record_checkpoint_file(JobRt& jr) {
-    ++checkpoints_written_;
-    checkpoint_bytes_ += jr.ckpt.size();
     if (opt_.service.checkpoint_dir.empty()) return;
-    write_bytes_atomic(
-        opt_.service.checkpoint_dir + "/" + jr.spec->id + ".ckpt", jr.ckpt);
+    write_file_atomic(checkpoint_path(opt_.service, jr.id()), jr.ckpt);
+    policy_.count_checkpoint(jr.ckpt.size());
   }
 
   void send_to(Conn& c, std::uint32_t tag, const std::string& payload) {
@@ -465,6 +410,11 @@ struct Coordinator::Impl {
     if (c.dead) return;
     c.dead = true;
     ++self_.dist_stats_.workers_died;
+    const JobRt* lost =
+        c.job >= 0 && !jobs_[c.job].finished ? &jobs_[c.job] : nullptr;
+    LOG_WARN() << "coordinator: worker " << c.worker_id << " died (" << why
+               << ")"
+               << (lost ? "; reassigning job " + lost->id() : std::string());
     if (c.job >= 0) {
       JobRt& jr = jobs_[c.job];
       c.job = -1;
@@ -477,7 +427,7 @@ struct Coordinator::Impl {
             opt_.max_worker_deaths_per_job) {
           jr.local_only = true;
           ++self_.dist_stats_.jobs_quarantined_remote;
-          LOG_WARN() << "coordinator: job " << jr.spec->id << " survived "
+          LOG_WARN() << "coordinator: job " << jr.id() << " survived "
                      << jr.dead_workers.size()
                      << " worker deaths; finishing it in-process";
         }
@@ -487,7 +437,6 @@ struct Coordinator::Impl {
         pending_.push_front(jr.index);
       }
     }
-    (void)why;
     kill_child_pid(c.pid);
   }
 
@@ -498,9 +447,7 @@ struct Coordinator::Impl {
       if (c->dead) continue;
       if (now - c->last_seen > opt_.heartbeat_timeout_s) {
         ++self_.dist_stats_.heartbeat_timeouts;
-        LOG_WARN() << "coordinator: worker " << c->worker_id
-                   << " missed its heartbeat deadline; declaring it dead";
-        on_worker_death(*c, "heartbeat timeout");
+        on_worker_death(*c, "missed its heartbeat deadline");
       }
     }
   }
@@ -530,76 +477,29 @@ struct Coordinator::Impl {
 
   void assign(Conn& c, int job) {
     JobRt& jr = jobs_[job];
-    if (jr.first_assign < 0) {
-      jr.first_assign = mono_seconds();
-      const double q = jr.first_assign - batch_start_;
-      jr.result->queue_seconds = q;
-      queue_latency_total_ += q;
-      queue_latency_max_ = std::max(queue_latency_max_, q);
-    }
+    policy_.start(jr, batch_start_);
     AssignMsg m;
     m.job_index = static_cast<std::uint32_t>(job);
     m.attempt = static_cast<std::uint32_t>(jr.attempt);
-    m.spec = *jr.spec;
+    m.spec = jr.result->spec;
     m.snapshot = jr.ckpt;
     c.job = job;
     send_to(c, kFrameAssign, encode_assign(m));
     // send_to may have declared the worker dead, which requeued the job.
   }
 
-  /// One attempt ended (remote Result frame or local execution): apply the
-  /// Scheduler::run_one classification. Returns with jr.finished set, or
-  /// with the job requeued behind its jittered backoff for another attempt.
-  void settle(JobRt& jr, AttemptOutcome outcome, const std::string& error) {
-    JobResult& r = *jr.result;
-    switch (outcome) {
-      case AttemptOutcome::kDone:
-        r.state = JobState::kDone;
-        r.error_code = kJobOk;
-        ++jobs_completed_;
-        break;
-      case AttemptOutcome::kDeadline:
-        r.state = JobState::kTimedOut;
-        r.error_code = kJobTimedOut;
-        if (!error.empty()) r.error = error;
-        ++jobs_timed_out_;
-        break;
-      case AttemptOutcome::kKilled:
-        r.state = JobState::kCheckpointed;
-        r.error_code = kJobInterrupted;
-        if (!error.empty()) r.error = error;
-        ++jobs_interrupted_;
-        break;
-      case AttemptOutcome::kAudit:
-        r.state = JobState::kFailed;
-        r.error_code = kJobAuditFailed;
-        if (!error.empty()) r.error = error;
-        ++jobs_quarantined_;
-        ++jobs_failed_;
-        break;
-      case AttemptOutcome::kError: {
-        if (!error.empty()) r.error = error;
-        if (jr.attempt <= opt_.service.max_retries && !shutting_down()) {
-          ++jobs_retried_;
-          jr.ready_at =
-              mono_seconds() +
-              retry_backoff_with_jitter(opt_.service.retry_backoff_seconds,
-                                        jr.attempt, jr.backoff_seed);
-          ++jr.attempt;
-          pending_.push_back(jr.index);
-          return;
-        }
-        r.state = JobState::kFailed;
-        r.error_code = kJobFailed;
-        ++jobs_failed_;
-        break;
-      }
+  /// One attempt ended (remote Result frame or local execution): the
+  /// shared policy finishes the job, or it is requeued behind its jittered
+  /// backoff for another attempt.
+  void end_attempt(JobRt& jr, AttemptOutcome outcome,
+                   const std::string& error) {
+    const double backoff = policy_.settle(jr, outcome, error);
+    if (jr.finished) {
+      --unfinished_;
+      return;
     }
-    jr.finished = true;
-    --unfinished_;
-    r.attempts = jr.attempt;
-    if (jr.first_assign >= 0)
-      r.run_seconds = mono_seconds() - jr.first_assign;
+    jr.ready_at = mono_seconds() + backoff;
+    pending_.push_back(jr.index);
   }
 
   // ---- in-process execution (quarantine + degradation) ---------------------
@@ -650,60 +550,26 @@ struct Coordinator::Impl {
 
   void run_in_process(JobRt& jr, bool degraded) {
     if (degraded) ++self_.dist_stats_.jobs_degraded;
-    if (jr.first_assign < 0) {
-      jr.first_assign = mono_seconds();
-      const double q = jr.first_assign - batch_start_;
-      jr.result->queue_seconds = q;
-      queue_latency_total_ += q;
-      queue_latency_max_ = std::max(queue_latency_max_, q);
-    }
+    policy_.start(jr, batch_start_);
     while (!jr.finished) {
       sleep_until_ready(jr);
       if (shutting_down()) {
-        settle(jr, AttemptOutcome::kKilled,
-               "service shut down before the job finished");
+        end_attempt(jr, AttemptOutcome::kKilled, kShutdownMessage);
         return;
       }
-      FlowSnapshot loaded;
-      bool have_loaded = false;
-      if (!jr.ckpt.empty()) {
-        try {
-          loaded = parse_snapshot(jr.ckpt);
-          have_loaded = true;
-        } catch (const SnapshotError& e) {
-          LOG_WARN() << "coordinator: job " << jr.spec->id
-                     << ": ignoring unreadable checkpoint: " << e.what();
-        }
-      }
       FlowAttemptRequest req;
-      req.spec = jr.spec;
       req.attempt = jr.attempt;
-      req.resume = have_loaded ? &loaded : nullptr;
+      req.resume = jr.ckpt;
       req.kill_flag = &self_.shutdown_requested_;
       req.on_checkpoint = [this, &jr](const FlowSnapshot& snap) {
         jr.ckpt = serialize_snapshot(snap);
         record_checkpoint_file(jr);
       };
-      AttemptOutcome outcome = AttemptOutcome::kDone;
       std::string error;
-      try {
-        run_flow_attempt(opt_.service, req, *jr.result);
-      } catch (const FlowCancelled& e) {
-        outcome =
-            e.killed() ? AttemptOutcome::kKilled : AttemptOutcome::kDeadline;
-        error = e.what();
-      } catch (const AuditError& e) {
-        outcome = AttemptOutcome::kAudit;
-        error = e.what();
-      } catch (const std::exception& e) {
-        outcome = AttemptOutcome::kError;
-        error = e.what();
-      }
-      if (outcome == AttemptOutcome::kDone && jr.result->resumed &&
-          jr.attempt == 1)
-        ++jobs_resumed_;
-      settle(jr, outcome, error);
-      // A retry re-enters this loop directly: the queue entry settle()
+      const AttemptOutcome outcome = run_attempt(
+          [&] { run_flow_attempt(opt_.service, req, *jr.result); }, &error);
+      end_attempt(jr, outcome, error);
+      // A retry re-enters this loop directly: the queue entry end_attempt()
       // pushed is for remote dispatch, which this job no longer gets.
       if (!jr.finished) {
         auto it = std::find(pending_.begin(), pending_.end(), jr.index);
@@ -715,23 +581,6 @@ struct Coordinator::Impl {
   void sleep_until_ready(JobRt& jr) {
     while (!shutting_down() && mono_seconds() < jr.ready_at)
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-
-  ServiceStats stats() const {
-    ServiceStats s;
-    s.jobs_completed = jobs_completed_;
-    s.jobs_failed = jobs_failed_;
-    s.jobs_timed_out = jobs_timed_out_;
-    s.jobs_interrupted = jobs_interrupted_;
-    s.jobs_quarantined = jobs_quarantined_;
-    s.jobs_invalid = jobs_invalid_;
-    s.jobs_retried = jobs_retried_;
-    s.jobs_resumed = jobs_resumed_;
-    s.checkpoints_written = checkpoints_written_;
-    s.checkpoint_bytes = checkpoint_bytes_;
-    s.queue_latency_seconds_total = queue_latency_total_;
-    s.queue_latency_seconds_max = queue_latency_max_;
-    return s;
   }
 };
 
@@ -756,6 +605,6 @@ void Coordinator::stop() {
   if (impl_) impl_->stop();
 }
 
-ServiceStats Coordinator::stats() const { return impl_->stats(); }
+ServiceStats Coordinator::stats() const { return impl_->policy_.stats(); }
 
 }  // namespace repro

@@ -31,18 +31,6 @@ enum DistFrameTag : std::uint32_t {
   kFrameShutdown = 7,   ///< coordinator -> worker, exit cleanly
 };
 
-/// How one job attempt ended on the worker — the same classification
-/// Scheduler::run_one derives from exception types, made explicit so the
-/// coordinator applies the identical retry/quarantine policy to remote
-/// attempts and the result log stays byte-identical to the in-process run.
-enum class AttemptOutcome : std::uint8_t {
-  kDone = 0,      ///< completed; payload carries final metrics
-  kDeadline = 1,  ///< FlowCancelled, stage deadline -> TIMED_OUT, no retry
-  kKilled = 2,    ///< FlowCancelled, cooperative kill -> CHECKPOINTED
-  kAudit = 3,     ///< AuditError -> quarantined, no retry
-  kError = 4,     ///< any other exception -> retry while budget lasts
-};
-
 struct HelloMsg {
   std::uint32_t protocol_version = kProtocolVersion;
   /// Worker's pid: lets the coordinator pair a connection with the child it
@@ -82,6 +70,9 @@ struct CheckpointMsg {
 struct ResultMsg {
   std::uint32_t job_index = 0;
   std::uint32_t attempt = 1;
+  /// The worker's run_attempt classification (serve/job.h), so the
+  /// coordinator settles a remote attempt exactly as FlowService settles a
+  /// local one and the result log stays byte-identical.
   AttemptOutcome outcome = AttemptOutcome::kDone;
   std::string error;
 

@@ -8,10 +8,8 @@
 #include <mutex>
 #include <thread>
 
-#include "audit/auditor.h"
 #include "dist/protocol.h"
 #include "serve/snapshot.h"
-#include "util/cancel.h"
 #include "util/log.h"
 
 namespace repro {
@@ -31,9 +29,9 @@ const char* checkpoint_stage_name(FlowStage s) {
   }
 }
 
-/// Non-std exceptions on purpose: run_flow_attempt's callers classify
-/// std::exception subtypes as job failures, and an injected worker death or
-/// a lost coordinator is not a job failure — it must unwind past every
+/// Non-std exceptions on purpose: run_attempt classifies std::exception
+/// subtypes as job outcomes, and an injected worker death or a lost
+/// coordinator is not a job failure — it must unwind past every
 /// catch(std::exception) untouched.
 struct ConnLost {};
 struct KillInjected {};
@@ -116,48 +114,23 @@ class Session {
     return SessionEnd::kStopped;
   }
 
-  void handle_assign(const AssignMsg& am) {
+  void handle_assign(AssignMsg am) {
     ++stats_.jobs_run;
     JobResult out;
-    out.spec = am.spec;
-    FlowSnapshot loaded;
-    bool have_loaded = false;
-    if (!am.snapshot.empty()) {
-      try {
-        loaded = parse_snapshot(am.snapshot);
-        have_loaded = true;
-      } catch (const SnapshotError& e) {
-        // Same contract as the file-based path: an unreadable checkpoint
-        // means a fresh run, never a dead job.
-        LOG_WARN() << "worker: job " << am.spec.id
-                   << ": ignoring unreadable streamed checkpoint: " << e.what();
-      }
-    }
+    out.spec = std::move(am.spec);
     FlowAttemptRequest req;
-    req.spec = &out.spec;
     req.attempt = static_cast<int>(am.attempt);
-    req.resume = have_loaded ? &loaded : nullptr;
+    req.resume = std::move(am.snapshot);
     req.kill_flag = stop_;
     req.on_checkpoint = [this, &am](const FlowSnapshot& snap) {
       stream_checkpoint(am.job_index, snap);
     };
-
-    AttemptOutcome outcome = AttemptOutcome::kDone;
+    // ConnLost / KillInjected unwind past run_attempt: there is nobody to
+    // report to (or we are dying); the coordinator reassigns from the last
+    // checkpoint.
     std::string error;
-    try {
-      run_flow_attempt(opt_.service, req, out);
-    } catch (const FlowCancelled& e) {
-      outcome = e.killed() ? AttemptOutcome::kKilled : AttemptOutcome::kDeadline;
-      error = e.what();
-    } catch (const AuditError& e) {
-      outcome = AttemptOutcome::kAudit;
-      error = e.what();
-    } catch (const std::exception& e) {
-      outcome = AttemptOutcome::kError;
-      error = e.what();
-    }
-    // ConnLost / KillInjected unwind past here: there is nobody to report to
-    // (or we are dying); the coordinator reassigns from the last checkpoint.
+    const AttemptOutcome outcome =
+        run_attempt([&] { run_flow_attempt(opt_.service, req, out); }, &error);
     send_frame(kFrameResult, encode_result(result_msg_from(
                                  out, am.job_index, am.attempt, outcome,
                                  error)));

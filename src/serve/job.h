@@ -27,6 +27,18 @@ enum class JobState : std::uint8_t {
 
 const char* job_state_name(JobState s);
 
+/// How one job attempt ended, from what it threw (run_attempt in
+/// serve/service.h). The in-process service, the dist coordinator and the
+/// dist worker share this one classification; the worker sends it in its
+/// Result frame as one byte, so the values are wire format.
+enum class AttemptOutcome : std::uint8_t {
+  kDone = 0,      ///< completed
+  kDeadline = 1,  ///< FlowCancelled, stage deadline -> TIMED_OUT, no retry
+  kKilled = 2,    ///< FlowCancelled, cooperative kill -> CHECKPOINTED
+  kAudit = 3,     ///< AuditError -> quarantined, no retry
+  kError = 4,     ///< any other std::exception -> retry while budget lasts
+};
+
 /// Per-job result codes recorded in the output JSONL.
 enum JobErrorCode {
   kJobOk = 0,

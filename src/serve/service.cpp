@@ -7,8 +7,10 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <thread>
 
+#include "audit/auditor.h"
 #include "gen/circuit_gen.h"
 #include "replicate/engine.h"
 #include "serve/jsonl.h"
@@ -16,6 +18,7 @@
 #include "util/cancel.h"
 #include "util/log.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace repro {
 namespace {
@@ -152,29 +155,182 @@ std::string ServiceStats::summary() const {
   return buf;
 }
 
-FlowService::FlowService(const ServiceOptions& opt) : opt_(opt) {}
+AttemptOutcome run_attempt(const std::function<void()>& attempt,
+                           std::string* error) {
+  error->clear();
+  try {
+    attempt();
+    return AttemptOutcome::kDone;
+  } catch (const FlowCancelled& e) {
+    *error = e.what();
+    return e.killed() ? AttemptOutcome::kKilled : AttemptOutcome::kDeadline;
+  } catch (const AuditError& e) {
+    *error = e.what();
+    return AttemptOutcome::kAudit;
+  } catch (const std::exception& e) {
+    *error = e.what();
+    return AttemptOutcome::kError;
+  }
+}
 
-std::string FlowService::checkpoint_path(const std::string& job_id) const {
-  return opt_.checkpoint_dir + "/" + job_id + ".ckpt";
+double retry_backoff_with_jitter(double base, int retry_index,
+                                 std::uint64_t seed) {
+  if (base <= 0 || retry_index < 1) return 0;
+  // splitmix64 of (seed, retry_index): cheap, portable, and well-mixed even
+  // for adjacent seeds/indices.
+  std::uint64_t z =
+      seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(retry_index);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  z ^= z >> 31;
+  // Uniform in [0.5, 1.0): halving the floor keeps the expected doubling
+  // cadence while decorrelating jobs that fail at the same instant.
+  const double f = 0.5 + 0.5 * (static_cast<double>(z >> 11) * 0x1.0p-53);
+  return base * std::ldexp(1.0, retry_index - 1) * f;
+}
+
+RetryPolicy::RetryPolicy(const ServiceOptions& opt,
+                         const std::atomic<bool>* shutdown)
+    : max_retries_(opt.max_retries),
+      backoff_base_(opt.retry_backoff_seconds),
+      shutdown_(shutdown) {}
+
+void RetryPolicy::reject(JobResult& r, const std::string& why) {
+  r.state = JobState::kFailed;
+  r.error_code = kJobInvalidSpec;
+  r.error = why;
+  invalid_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void RetryPolicy::start(JobTicket& t, double submitted) {
+  if (t.started_at >= 0) return;
+  t.started_at = now_seconds();
+  const double queued = t.started_at - submitted;
+  t.result->queue_seconds = queued;
+  const auto us = static_cast<std::uint64_t>(queued * 1e6);
+  queue_us_total_.fetch_add(us, std::memory_order_relaxed);
+  std::uint64_t cur = queue_us_max_.load(std::memory_order_relaxed);
+  while (cur < us && !queue_us_max_.compare_exchange_weak(
+                         cur, us, std::memory_order_relaxed)) {
+  }
+}
+
+double RetryPolicy::settle(JobTicket& t, AttemptOutcome outcome,
+                           const std::string& error) {
+  JobResult& r = *t.result;
+  if (t.attempt == 1 && r.resumed)
+    resumed_.fetch_add(1, std::memory_order_relaxed);
+  if (!error.empty()) r.error = error;
+  switch (outcome) {
+    case AttemptOutcome::kDone:
+      r.state = JobState::kDone;
+      r.error_code = kJobOk;
+      completed_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case AttemptOutcome::kDeadline:
+      r.state = JobState::kTimedOut;
+      r.error_code = kJobTimedOut;
+      timed_out_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case AttemptOutcome::kKilled:
+      r.state = JobState::kCheckpointed;
+      r.error_code = kJobInterrupted;
+      interrupted_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case AttemptOutcome::kAudit:
+      // Deterministic invariant violation: retrying reproduces it bit for
+      // bit, so quarantine immediately and keep the batch moving.
+      r.state = JobState::kFailed;
+      r.error_code = kJobAuditFailed;
+      quarantined_.fetch_add(1, std::memory_order_relaxed);
+      failed_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case AttemptOutcome::kError:
+      if (t.attempt <= max_retries_ &&
+          !(shutdown_ && shutdown_->load(std::memory_order_relaxed))) {
+        retried_.fetch_add(1, std::memory_order_relaxed);
+        return retry_backoff_with_jitter(backoff_base_, t.attempt++,
+                                         t.backoff_seed);
+      }
+      r.state = JobState::kFailed;
+      r.error_code = kJobFailed;
+      failed_.fetch_add(1, std::memory_order_relaxed);
+      break;
+  }
+  t.finished = true;
+  r.attempts = t.attempt;
+  if (t.started_at >= 0) r.run_seconds = now_seconds() - t.started_at;
+  return 0;
+}
+
+void RetryPolicy::run(JobTicket& t,
+                      const std::function<void(int attempt)>& attempt) {
+  std::string error;
+  while (!t.finished) {
+    const double backoff = settle(
+        t, run_attempt([&] { attempt(t.attempt); }, &error), error);
+    if (backoff > 0)
+      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
+  }
+}
+
+std::uint64_t RetryPolicy::count_checkpoint(std::uint64_t bytes) {
+  checkpoint_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  return checkpoints_.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+ServiceStats RetryPolicy::stats() const {
+  auto get = [](const std::atomic<std::uint64_t>& v) {
+    return v.load(std::memory_order_relaxed);
+  };
+  ServiceStats s;
+  s.jobs_completed = get(completed_);
+  s.jobs_failed = get(failed_);
+  s.jobs_timed_out = get(timed_out_);
+  s.jobs_interrupted = get(interrupted_);
+  s.jobs_quarantined = get(quarantined_);
+  s.jobs_invalid = get(invalid_);
+  s.jobs_retried = get(retried_);
+  s.jobs_resumed = get(resumed_);
+  s.checkpoints_written = get(checkpoints_);
+  s.checkpoint_bytes = get(checkpoint_bytes_);
+  s.queue_latency_seconds_total =
+      static_cast<double>(get(queue_us_total_)) / 1e6;
+  s.queue_latency_seconds_max = static_cast<double>(get(queue_us_max_)) / 1e6;
+  return s;
+}
+
+FlowService::FlowService(const ServiceOptions& opt)
+    : opt_(opt), policy_(opt_, &shutdown_requested_) {}
+
+std::string checkpoint_path(const ServiceOptions& opt,
+                            const std::string& job_id) {
+  return opt.checkpoint_dir + "/" + job_id + ".ckpt";
+}
+
+void create_checkpoint_dir(const ServiceOptions& opt) {
+  if (opt.checkpoint_dir.empty()) return;
+  std::error_code ec;
+  std::filesystem::create_directories(
+      std::filesystem::path(opt.checkpoint_dir), ec);
+  if (ec)
+    throw std::runtime_error("cannot create checkpoint dir " +
+                             opt.checkpoint_dir + ": " + ec.message());
 }
 
 void FlowService::write_checkpoint(const FlowSnapshot& snap) {
   if (opt_.checkpoint_dir.empty()) return;
-  const std::string bytes_path = checkpoint_path(snap.job_id);
-  write_snapshot_file(snap, bytes_path);
-  checkpoint_bytes_.fetch_add(
-      std::filesystem::file_size(std::filesystem::path(bytes_path)),
-      std::memory_order_relaxed);
-  const std::uint64_t written =
-      checkpoints_written_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const std::string bytes = serialize_snapshot(snap);
+  write_file_atomic(checkpoint_path(opt_, snap.job_id), bytes);
+  const std::uint64_t written = policy_.count_checkpoint(bytes.size());
   if (opt_.stop_after_checkpoints > 0 &&
       written >= static_cast<std::uint64_t>(opt_.stop_after_checkpoints))
-    scheduler_->request_shutdown();
+    request_shutdown();
 }
 
 void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
                       JobResult& out) {
-  const JobSpec& spec = *req.spec;
+  const JobSpec& spec = out.spec;
   const int attempt = req.attempt;
   FlowConfig cfg = opt.base;
   cfg.scale = spec.scale;
@@ -195,19 +351,24 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
   // snapshot the coordinator streamed with the assignment).
   FlowSnapshot snap;
   bool resumed = false;
-  if (req.resume) {
-    // The checkpoint must describe the same work; a stale snapshot from a
-    // previous batch with different parameters restarts from scratch.
-    FlowSnapshot& loaded = *req.resume;
-    if (loaded.circuit == spec.circuit && loaded.variant == spec.variant &&
-        loaded.cfg.placer == cfg.placer &&
-        loaded.cfg.seed == spec.seed && loaded.cfg.scale == spec.scale &&
-        loaded.stage >= FlowStage::kPlaced) {
-      snap = std::move(loaded);
-      snap.cfg.num_threads = cfg.num_threads;  // thread count never
-                                               // changes results
-      resumed = true;
+  if (!req.resume.empty()) {
+    try {
+      snap = parse_snapshot(req.resume);
+      // The checkpoint must describe the same work; a stale snapshot from a
+      // previous batch with different parameters restarts from scratch.
+      resumed = snap.circuit == spec.circuit && snap.variant == spec.variant &&
+                snap.cfg.placer == cfg.placer && snap.cfg.seed == spec.seed &&
+                snap.cfg.scale == spec.scale &&
+                snap.stage >= FlowStage::kPlaced;
+    } catch (const SnapshotError& e) {
+      // An unreadable checkpoint means a fresh run, never a dead job.
+      LOG_WARN() << "job " << spec.id
+                 << ": ignoring unreadable checkpoint: " << e.what();
     }
+    if (resumed)
+      snap.cfg.num_threads = cfg.num_threads;  // never changes results
+    else
+      snap = FlowSnapshot{};
   }
   if (!resumed) {
     snap.job_id = spec.id;
@@ -400,151 +561,53 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
   out.completed_stage = snap.stage;
 }
 
-void FlowService::run_job_attempt(const JobSpec& spec, int attempt,
-                                  JobResult& out) {
-  // On a retry after a failure (attempt > 1) the attempt starts again from
-  // the last stage-boundary checkpoint on disk.
-  FlowSnapshot loaded;
-  bool have_loaded = false;
-  const std::string ckpt = opt_.checkpoint_dir.empty()
-                               ? std::string()
-                               : checkpoint_path(spec.id);
-  const bool try_resume =
-      (opt_.resume || attempt > 1) && !ckpt.empty() &&
-      std::filesystem::exists(std::filesystem::path(ckpt));
-  if (try_resume) {
-    try {
-      loaded = read_snapshot_file(ckpt);
-      have_loaded = true;
-    } catch (const SnapshotError& e) {
-      LOG_WARN() << "job " << spec.id << ": ignoring unreadable checkpoint: "
-                 << e.what();
-    }
-  }
-  FlowAttemptRequest req;
-  req.spec = &spec;
-  req.attempt = attempt;
-  req.resume = have_loaded ? &loaded : nullptr;
-  req.on_checkpoint = [this](const FlowSnapshot& s) { write_checkpoint(s); };
-  req.kill_flag = scheduler_->kill_flag();
-  run_flow_attempt(opt_, req, out);
-  if (out.resumed && attempt == 1)
-    jobs_resumed_.fetch_add(1, std::memory_order_relaxed);
+void FlowService::run_job(JobTicket& t, double submitted) {
+  policy_.start(t, submitted);
+  JobResult& r = *t.result;
+  policy_.run(t, [&](int attempt) {
+    FlowAttemptRequest req;
+    req.attempt = attempt;
+    // A retry after a failure (attempt > 1) starts again from the last
+    // stage-boundary checkpoint on disk; a missing file is a fresh run.
+    if ((opt_.resume || attempt > 1) && !opt_.checkpoint_dir.empty())
+      read_file(checkpoint_path(opt_, r.spec.id), &req.resume);
+    req.on_checkpoint = [this](const FlowSnapshot& s) { write_checkpoint(s); };
+    req.kill_flag = &shutdown_requested_;
+    run_flow_attempt(opt_, req, r);
+  });
 }
 
 std::vector<JobResult> FlowService::run_batch(
     const std::vector<JobSpec>& specs) {
-  if (!opt_.checkpoint_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(
-        std::filesystem::path(opt_.checkpoint_dir), ec);
-    if (ec)
-      throw std::runtime_error("cannot create checkpoint dir " +
-                               opt_.checkpoint_dir + ": " + ec.message());
-  }
-
-  SchedulerOptions sopt;
-  sopt.threads = opt_.threads;
-  sopt.max_retries = opt_.max_retries;
-  sopt.retry_backoff_seconds = opt_.retry_backoff_seconds;
-  {
-    std::lock_guard<std::mutex> lock(scheduler_mu_);
-    scheduler_ = std::make_unique<Scheduler>(sopt);
-    // A shutdown requested before (or between) batches sticks: the fresh
-    // scheduler starts with its kill flag already raised, so jobs submitted
-    // below unwind at their first cancellation point.
-    if (shutdown_requested_.load(std::memory_order_relaxed))
-      scheduler_->request_shutdown();
-  }
+  create_checkpoint_dir(opt_);
 
   std::vector<JobResult> results(specs.size());
-  std::vector<std::function<void(int attempt)>> fns;
-  std::vector<std::uint64_t> backoff_seeds;
-  std::vector<std::size_t> scheduled;  // fns[k] runs specs[scheduled[k]]
+  std::vector<JobTicket> tickets(specs.size());
   const std::vector<std::string> errors = validate_batch(specs);
+  ThreadPool pool(opt_.threads > 0 ? static_cast<unsigned>(opt_.threads)
+                                   : ThreadPool::hardware_threads());
+  const double submitted = now_seconds();
+  std::vector<std::future<void>> jobs;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     results[i].spec = specs[i];
     if (!errors[i].empty()) {
-      results[i].state = JobState::kFailed;
-      results[i].error_code = kJobInvalidSpec;
-      results[i].error = errors[i];
-      jobs_invalid_.fetch_add(1, std::memory_order_relaxed);
+      policy_.reject(results[i], errors[i]);
       continue;
     }
-    JobResult* slot = &results[i];
-    const JobSpec* spec = &specs[i];
-    scheduled.push_back(i);
+    JobTicket& t = tickets[i];
+    t.result = &results[i];
     // Retry backoff jitter is seeded from the job id so simultaneous
     // retries of different jobs spread out deterministically.
-    backoff_seeds.push_back(fnv1a64(specs[i].id));
-    fns.push_back([this, spec, slot](int attempt) {
-      run_job_attempt(*spec, attempt, *slot);
-    });
+    t.backoff_seed = fnv1a64(specs[i].id);
+    jobs.push_back(
+        pool.submit([this, &t, submitted] { run_job(t, submitted); }));
   }
-
-  const std::vector<RunOutcome> outcomes =
-      scheduler_->run_all(fns, backoff_seeds);
-  for (std::size_t k = 0; k < outcomes.size(); ++k) {
-    JobResult& r = results[scheduled[k]];
-    const RunOutcome& o = outcomes[k];
-    r.state = o.state;
-    r.attempts = o.attempts;
-    r.error = o.error;
-    r.queue_seconds = o.queue_seconds;
-    r.run_seconds = o.run_seconds;
-    switch (o.state) {
-      case JobState::kDone: r.error_code = kJobOk; break;
-      case JobState::kTimedOut: r.error_code = kJobTimedOut; break;
-      case JobState::kCheckpointed: r.error_code = kJobInterrupted; break;
-      default:
-        r.error_code = o.audit_failed ? kJobAuditFailed : kJobFailed;
-        break;
-    }
-  }
+  for (auto& j : jobs) j.get();
   return results;
 }
 
 void FlowService::request_shutdown() {
   shutdown_requested_.store(true, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(scheduler_mu_);
-  if (scheduler_) scheduler_->request_shutdown();
-}
-
-ServiceStats FlowService::stats() const {
-  ServiceStats s;
-  std::lock_guard<std::mutex> lock(scheduler_mu_);
-  if (scheduler_) {
-    const SchedulerStats& ss = scheduler_->stats();
-    s.jobs_completed = ss.jobs_completed.load(std::memory_order_relaxed);
-    s.jobs_failed = ss.jobs_failed.load(std::memory_order_relaxed);
-    s.jobs_timed_out = ss.jobs_timed_out.load(std::memory_order_relaxed);
-    s.jobs_interrupted = ss.jobs_interrupted.load(std::memory_order_relaxed);
-    s.jobs_quarantined = ss.jobs_quarantined.load(std::memory_order_relaxed);
-    s.jobs_retried = ss.retries.load(std::memory_order_relaxed);
-    s.queue_latency_seconds_total =
-        static_cast<double>(
-            ss.queue_latency_us_total.load(std::memory_order_relaxed)) /
-        1e6;
-    s.queue_latency_seconds_max =
-        static_cast<double>(
-            ss.queue_latency_us_max.load(std::memory_order_relaxed)) /
-        1e6;
-  }
-  s.jobs_invalid = jobs_invalid_.load(std::memory_order_relaxed);
-  s.jobs_resumed = jobs_resumed_.load(std::memory_order_relaxed);
-  s.checkpoints_written = checkpoints_written_.load(std::memory_order_relaxed);
-  s.checkpoint_bytes = checkpoint_bytes_.load(std::memory_order_relaxed);
-  return s;
-}
-
-ServiceOptions service_options_from_env(ServiceOptions base) {
-  base.threads =
-      static_cast<int>(env_long("REPRO_SERVE_THREADS", base.threads, 0));
-  base.job_timeout_seconds =
-      env_double("REPRO_SERVE_JOB_TIMEOUT", base.job_timeout_seconds, 0.0);
-  base.max_retries = static_cast<int>(
-      env_long("REPRO_SERVE_MAX_RETRIES", base.max_retries, 0));
-  return base;
 }
 
 JobSpec parse_job_line(const std::string& line) {

@@ -3,14 +3,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "flow/experiment.h"
 #include "serve/job.h"
-#include "serve/scheduler.h"
 
 namespace repro {
 
@@ -25,8 +22,11 @@ struct ServiceOptions {
   /// Default per-stage wall-clock timeout in seconds (0 = none).
   /// JobSpec::timeout_seconds overrides per job.
   double job_timeout_seconds = 0;
-  /// Retries after a failed (not timed-out) attempt.
+  /// Retries after a failed attempt (timeouts and audit failures are not
+  /// retried: the pipeline is deterministic, so they would fail again).
   int max_retries = 0;
+  /// First retry delay; doubles per retry of the same job, jittered (see
+  /// retry_backoff_with_jitter).
   double retry_backoff_seconds = 0.05;
 
   /// Directory for stage-boundary snapshots ("" = checkpointing off).
@@ -47,7 +47,7 @@ struct ServiceOptions {
   int stop_after_checkpoints = 0;
 };
 
-/// Service-level counters (includes the scheduler's).
+/// Job counters of a FlowService or Coordinator, over every batch it ran.
 struct ServiceStats {
   std::uint64_t jobs_completed = 0;
   std::uint64_t jobs_failed = 0;
@@ -74,17 +74,24 @@ std::string validate_job_spec(const JobSpec& spec);
 /// prerequisite for byte-identical result logs.
 std::vector<std::string> validate_batch(const std::vector<JobSpec>& specs);
 
+/// Where a job's latest stage-boundary snapshot is kept on disk:
+/// <checkpoint_dir>/<job id>.ckpt.
+std::string checkpoint_path(const ServiceOptions& opt,
+                            const std::string& job_id);
+/// Creates opt.checkpoint_dir if checkpointing is on; throws
+/// std::runtime_error when it cannot be created.
+void create_checkpoint_dir(const ServiceOptions& opt);
+
 /// One single-attempt execution request for run_flow_attempt. The attempt
 /// runner is deliberately free-standing: FlowService drives it with on-disk
 /// checkpoints, a dist worker drives it with a streamed-resume snapshot and
 /// a frame-sending checkpoint sink. Same code, same bits.
 struct FlowAttemptRequest {
-  const JobSpec* spec = nullptr;
   int attempt = 1;
-  /// Snapshot to resume from (consumed via move when it matches the spec);
-  /// nullptr = fresh run. A mismatched or under-placed snapshot is ignored
-  /// and the job restarts from scratch, exactly like the file-based path.
-  FlowSnapshot* resume = nullptr;
+  /// Serialized snapshot to resume from ("" = fresh run). Unreadable bytes
+  /// (logged), a snapshot of different work or one from before the anneal
+  /// are ignored and the job restarts from scratch.
+  std::string resume;
   /// Called after every completed stage boundary with the serializable job
   /// state. May be empty. Exceptions from the sink propagate (a worker uses
   /// this for deterministic kill-at-stage fault injection).
@@ -93,12 +100,90 @@ struct FlowAttemptRequest {
   const std::atomic<bool>* kill_flag = nullptr;
 };
 
-/// Runs one job attempt end to end (place -> replicate -> route), filling
-/// `out` and throwing to report failure/cancellation exactly like the
-/// pre-extraction FlowService internals: FlowCancelled on deadline/kill,
-/// AuditError on invariant violations, std::runtime_error otherwise.
+/// Runs one attempt of the job `out.spec` end to end (place -> replicate ->
+/// route), filling `out` and throwing to report failure/cancellation:
+/// FlowCancelled on deadline/kill, AuditError on invariant violations,
+/// std::runtime_error otherwise.
 void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
                       JobResult& out);
+
+/// Runs one attempt and classifies how it ended — the one place that maps
+/// exceptions to outcomes:
+///   FlowCancelled (deadline)  -> kDeadline
+///   FlowCancelled (kill flag) -> kKilled
+///   AuditError                -> kAudit
+///   any other std::exception  -> kError
+/// `*error` gets the exception's message ("" on kDone). Exceptions that do
+/// not derive from std::exception propagate untouched (a dist worker unwinds
+/// an injected death or a lost connection through here).
+AttemptOutcome run_attempt(const std::function<void()>& attempt,
+                           std::string* error);
+
+/// Deterministic backoff-with-jitter for the k-th retry (k >= 1) of a job:
+///   base * 2^(k-1) * f,   f in [0.5, 1.0) derived from (seed, k)
+/// via a splitmix64 mix. Jobs seeded differently (the FNV-1a hash of the
+/// job id) retry at staggered times instead of stampeding, and the sequence
+/// for a given (base, seed) is pinned — tests and replayed chaos schedules
+/// observe the exact same delays every run.
+double retry_backoff_with_jitter(double base, int retry_index,
+                                 std::uint64_t seed);
+
+/// One job's progress through a RetryPolicy.
+struct JobTicket {
+  JobResult* result = nullptr;  ///< spec filled in; the policy sets the rest
+  std::uint64_t backoff_seed = 0;  ///< retry jitter seed (fnv1a64 of the id)
+  int attempt = 1;                 ///< the attempt about to run / last run
+  double started_at = -1;          ///< first attempt start (monotonic s)
+  bool finished = false;
+};
+
+/// The retry/quarantine policy FlowService and the dist Coordinator share,
+/// and the one block of job counters (ServiceStats) each of them keeps. It
+/// decides, from an attempt's AttemptOutcome, whether the job is finished
+/// and in which state, or retried after a backoff:
+///   kDone     -> DONE
+///   kDeadline -> TIMED_OUT, no retry
+///   kKilled   -> CHECKPOINTED (service shutdown), no retry
+///   kAudit    -> FAILED + kJobAuditFailed, no retry: an audit violation is
+///                deterministic for the input, so the job is quarantined and
+///                the retry budget is spent on the rest of the batch
+///   kError    -> retry while attempt <= max_retries and the shutdown flag
+///                is down, else FAILED
+/// An attempt's error string replaces the job's only when non-empty, so an
+/// earlier failure's message survives a later success. The counters are
+/// atomic: FlowService settles jobs from its pool threads.
+class RetryPolicy {
+ public:
+  RetryPolicy(const ServiceOptions& opt, const std::atomic<bool>* shutdown);
+
+  /// Fills `r` for a spec validate_batch rejected and counts it invalid.
+  void reject(JobResult& r, const std::string& why);
+  /// Marks the job's first attempt start (no-op on later calls) and records
+  /// its queue latency since `submitted` (monotonic seconds).
+  void start(JobTicket& t, double submitted);
+  /// Settles attempt `t.attempt`. Either finishes the job (t.finished, final
+  /// state, error code, attempts and run time in *t.result) or advances
+  /// t.attempt and returns the backoff to wait before running it. A first
+  /// attempt that ran from a checkpoint (JobResult::resumed) counts the job
+  /// as resumed, whatever its outcome.
+  double settle(JobTicket& t, AttemptOutcome outcome, const std::string& error);
+  /// Runs attempts of `t` until settled, sleeping each retry's backoff.
+  /// `attempt(n)` runs the n-th attempt and throws to report its outcome.
+  void run(JobTicket& t, const std::function<void(int attempt)>& attempt);
+  /// Counts one checkpoint file written; returns the total so far.
+  std::uint64_t count_checkpoint(std::uint64_t bytes);
+
+  ServiceStats stats() const;
+
+ private:
+  const int max_retries_;
+  const double backoff_base_;
+  const std::atomic<bool>* shutdown_;
+  std::atomic<std::uint64_t> completed_{0}, failed_{0}, timed_out_{0},
+      interrupted_{0}, quarantined_{0}, invalid_{0}, retried_{0},
+      resumed_{0}, checkpoints_{0}, checkpoint_bytes_{0},
+      queue_us_total_{0}, queue_us_max_{0};
+};
 
 /// Batch server for place -> replicate -> route jobs.
 ///
@@ -107,7 +192,8 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
 /// cooperative checkpoints (annealer temperatures, engine iterations, router
 /// passes). A failing, hanging or timed-out job never takes the batch down:
 /// it is reported FAILED/TIMED_OUT with a nonzero per-job error code and the
-/// remaining jobs complete.
+/// remaining jobs complete. Jobs run as tasks on a ThreadPool(threads), each
+/// looping attempt -> run_attempt -> RetryPolicy::settle -> backoff.
 class FlowService {
  public:
   explicit FlowService(const ServiceOptions& opt);
@@ -123,33 +209,17 @@ class FlowService {
   /// run_batch() calls — the request sticks and applies to the next batch.
   void request_shutdown();
 
-  ServiceStats stats() const;
+  /// Counters over every batch this service ran.
+  ServiceStats stats() const { return policy_.stats(); }
 
  private:
-  friend struct ServiceTestPeer;
-
-  void run_job_attempt(const JobSpec& spec, int attempt, JobResult& out);
-  std::string checkpoint_path(const std::string& job_id) const;
+  void run_job(JobTicket& t, double submitted);
   void write_checkpoint(const FlowSnapshot& snap);
 
   ServiceOptions opt_;
-  /// Guards scheduler_ (re)creation in run_batch against request_shutdown
-  /// and stats readers on other threads.
-  mutable std::mutex scheduler_mu_;
   std::atomic<bool> shutdown_requested_{false};
-  std::unique_ptr<Scheduler> scheduler_;
-  std::atomic<std::uint64_t> jobs_resumed_{0};
-  std::atomic<std::uint64_t> jobs_invalid_{0};
-  std::atomic<std::uint64_t> checkpoints_written_{0};
-  std::atomic<std::uint64_t> checkpoint_bytes_{0};
+  RetryPolicy policy_;
 };
-
-/// Service knobs from the environment, layered over `base`:
-///   REPRO_SERVE_THREADS      concurrent jobs (integer >= 0)
-///   REPRO_SERVE_JOB_TIMEOUT  per-stage timeout seconds (> 0)
-///   REPRO_SERVE_MAX_RETRIES  retry budget (integer >= 0)
-/// Malformed values fall back to the corresponding `base` field.
-ServiceOptions service_options_from_env(ServiceOptions base = {});
 
 /// JSONL bridge: parses one job line (unknown keys rejected; see
 /// examples/flow_jobs.jsonl). Throws JsonlError.

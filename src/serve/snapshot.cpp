@@ -426,8 +426,7 @@ FlowSnapshot parse_snapshot(std::string_view bytes) try {
   throw SnapshotError(std::string("snapshot: ") + e.what());
 }
 
-void write_snapshot_file(const FlowSnapshot& s, const std::string& path) {
-  const std::string bytes = serialize_snapshot(s);
+void write_file_atomic(const std::string& path, std::string_view bytes) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (!f) throw SnapshotError("snapshot: cannot open " + tmp + " for writing");
@@ -444,16 +443,27 @@ void write_snapshot_file(const FlowSnapshot& s, const std::string& path) {
   }
 }
 
-FlowSnapshot read_snapshot_file(const std::string& path) {
+bool read_file(const std::string& path, std::string* bytes) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw SnapshotError("snapshot: cannot open " + path);
-  std::string bytes;
+  if (!f) return false;
+  bytes->clear();
   char buf[1 << 16];
   std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes->append(buf, n);
   const bool read_err = std::ferror(f) != 0;
   std::fclose(f);
-  if (read_err) throw SnapshotError("snapshot: read error on " + path);
+  if (read_err) bytes->clear();
+  return !read_err;
+}
+
+void write_snapshot_file(const FlowSnapshot& s, const std::string& path) {
+  write_file_atomic(path, serialize_snapshot(s));
+}
+
+FlowSnapshot read_snapshot_file(const std::string& path) {
+  std::string bytes;
+  if (!read_file(path, &bytes))
+    throw SnapshotError("snapshot: cannot open " + path);
   try {
     return parse_snapshot(bytes);
   } catch (const SnapshotError& e) {

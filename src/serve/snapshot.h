@@ -125,4 +125,12 @@ FlowSnapshot parse_snapshot(std::string_view bytes);
 void write_snapshot_file(const FlowSnapshot& s, const std::string& path);
 FlowSnapshot read_snapshot_file(const std::string& path);
 
+/// The byte-level halves of the two above, for callers that hold
+/// serialized snapshots (checkpoints a dist worker streamed, resume bytes
+/// handed to run_flow_attempt). write_file_atomic throws SnapshotError;
+/// read_file returns false (and leaves `bytes` empty) when `path` is
+/// missing or unreadable.
+void write_file_atomic(const std::string& path, std::string_view bytes);
+bool read_file(const std::string& path, std::string* bytes);
+
 }  // namespace repro

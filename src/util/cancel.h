@@ -9,8 +9,9 @@ namespace repro {
 
 /// Thrown by CancelToken::check() when a stage deadline has passed or the
 /// owning service requested a shutdown. Long-running loops let it unwind to
-/// the job scheduler, which classifies the job TIMED_OUT (deadline) or
-/// CHECKPOINTED (kill flag; the last stage checkpoint is already on disk).
+/// run_attempt (serve/service.h), which classifies the job TIMED_OUT
+/// (deadline) or CHECKPOINTED (kill flag; the last stage checkpoint is
+/// already on disk).
 class FlowCancelled : public std::runtime_error {
  public:
   FlowCancelled(const std::string& where, bool killed)

@@ -21,7 +21,7 @@ namespace repro {
 /// density loops, and the flow service's concurrent jobs:
 ///
 ///  * `submit(fn)` enqueues a task and returns a `std::future` — used by the
-///    service scheduler, one task per job;
+///    flow service, one task per job;
 ///  * `parallel_for(n, grain, fn)` splits an index range into chunks and
 ///    runs them on the pool *and* on the calling thread — used for the
 ///    embedder's `A[i][*]` column loop and the placer's loops. The caller

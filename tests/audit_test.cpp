@@ -16,7 +16,6 @@
 #include "gen/circuit_gen.h"
 #include "route/router.h"
 #include "serve/jsonl.h"
-#include "serve/scheduler.h"
 #include "serve/service.h"
 
 namespace repro {
@@ -253,39 +252,39 @@ TEST(Auditor, CatchesDroppedRouteEdge) {
       << rep.to_jsonl_lines();
 }
 
-// ---- scheduler: audit failures are quarantined, never retried -------------
+// ---- retry policy: audit failures are quarantined, never retried ---------
 
-TEST(Scheduler, AuditFailuresAreQuarantinedNotRetried) {
-  SchedulerOptions opt;
-  opt.threads = 1;
+TEST(RetryPolicy, AuditFailuresAreQuarantinedNotRetried) {
+  ServiceOptions opt;
   opt.max_retries = 5;
   opt.retry_backoff_seconds = 0;
-  Scheduler sched(opt);
+  RetryPolicy policy(opt, nullptr);
+  std::vector<JobResult> res(2);
+  JobTicket sick, healthy;  // the batch must survive the sick job
+  sick.result = &res[0];
+  healthy.result = &res[1];
   int calls = 0;
-  auto outcomes = sched.run_all({
-      [&](int) {
-        ++calls;
-        AuditReport rep;
-        Finding f;
-        f.severity = AuditSeverity::kFatal;
-        f.stage = "replicate";
-        f.check = "sim.equivalence";
-        rep.add(f);
-        rep.checks_run = 1;
-        throw AuditError("replicate", std::move(rep));
-      },
-      [](int) {},  // healthy neighbor: the batch must survive
+  policy.run(sick, [&](int) {
+    ++calls;
+    AuditReport rep;
+    Finding f;
+    f.severity = AuditSeverity::kFatal;
+    f.stage = "replicate";
+    f.check = "sim.equivalence";
+    rep.add(f);
+    rep.checks_run = 1;
+    throw AuditError("replicate", std::move(rep));
   });
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_EQ(outcomes[0].state, JobState::kFailed);
-  EXPECT_TRUE(outcomes[0].audit_failed);
-  EXPECT_EQ(outcomes[0].attempts, 1);
+  policy.run(healthy, [](int) {});
+  EXPECT_EQ(res[0].state, JobState::kFailed);
+  EXPECT_EQ(res[0].error_code, kJobAuditFailed);
+  EXPECT_EQ(res[0].attempts, 1);
   EXPECT_EQ(calls, 1) << "deterministic audit failures must not be retried";
-  EXPECT_EQ(outcomes[1].state, JobState::kDone);
-  EXPECT_FALSE(outcomes[1].audit_failed);
-  EXPECT_EQ(sched.stats().jobs_quarantined.load(), 1u);
-  EXPECT_EQ(sched.stats().jobs_failed.load(), 1u);
-  EXPECT_EQ(sched.stats().retries.load(), 0u);
+  EXPECT_EQ(res[1].state, JobState::kDone);
+  EXPECT_EQ(res[1].error_code, kJobOk);
+  EXPECT_EQ(policy.stats().jobs_quarantined, 1u);
+  EXPECT_EQ(policy.stats().jobs_failed, 1u);
+  EXPECT_EQ(policy.stats().jobs_retried, 0u);
 }
 
 // ---- service: golden circuits clean at paranoid, results unperturbed ------

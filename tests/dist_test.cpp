@@ -346,10 +346,12 @@ struct DistRun {
   std::vector<int> worker_rcs;
 };
 
-// Runs one batch through a coordinator on an ephemeral TCP port with the
-// requested in-process worker threads, then shuts everything down.
-DistRun run_dist(const ServiceOptions& sopt, const std::vector<JobSpec>& specs,
-                 const DistParams& p) {
+// Runs the batches one after another through one coordinator on an
+// ephemeral TCP port with the requested in-process worker threads, then
+// shuts everything down. `results` holds every batch's, in order.
+DistRun run_dist_batches(const ServiceOptions& sopt,
+                         const std::vector<std::vector<JobSpec>>& batches,
+                         const DistParams& p) {
   CoordinatorOptions copt;
   copt.service = sopt;
   std::string err;
@@ -377,7 +379,9 @@ DistRun run_dist(const ServiceOptions& sopt, const std::vector<JobSpec>& specs,
   }
 
   DistRun out;
-  out.results = coord.run_batch(specs);
+  for (const std::vector<JobSpec>& specs : batches)
+    for (JobResult& r : coord.run_batch(specs))
+      out.results.push_back(std::move(r));
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : threads) t.join();
   coord.stop();
@@ -385,6 +389,11 @@ DistRun run_dist(const ServiceOptions& sopt, const std::vector<JobSpec>& specs,
   out.stats = coord.stats();
   out.worker_rcs = rcs;
   return out;
+}
+
+DistRun run_dist(const ServiceOptions& sopt, const std::vector<JobSpec>& specs,
+                 const DistParams& p) {
+  return run_dist_batches(sopt, {specs}, p);
 }
 
 // Plain distributed runs: 1, 2 and 4 workers, no faults — the result log
@@ -590,6 +599,58 @@ TEST(DistService, ResumesSingleProcessCheckpointOnARemoteWorker) {
   EXPECT_EQ(run.stats.jobs_resumed, 1u);
   EXPECT_EQ(run.dist.jobs_completed_remote, 1u);
   EXPECT_EQ(format_result_line(run.results[0], true), chaos_golden()[0]);
+}
+
+// FlowService and the coordinator settle jobs with the same policy and count
+// them over every batch they ran: two batches (a completed job and an
+// invalid spec, then a completed job and a failure retried once) give the
+// same log and the same counters on both paths.
+TEST(DistService, StatsAccumulateOverBatchesLikeFlowService) {
+  std::vector<JobSpec> first{chaos_batch()[0], chaos_batch()[2]};
+  first[1].id = "bogus";
+  first[1].circuit = "nonesuch";
+  std::vector<JobSpec> second{chaos_batch()[2], chaos_batch()[1]};
+  second[1].id = "flaky";
+  second[1].inject_fail_stage = "route";
+
+  ServiceOptions sopt;
+  sopt.threads = 1;
+  sopt.max_retries = 1;
+  sopt.retry_backoff_seconds = 0.01;
+
+  TempDir local_dir("stats_local");
+  ServiceOptions local_opt = sopt;
+  local_opt.checkpoint_dir = local_dir.path;
+  FlowService svc(local_opt);
+  std::vector<std::string> golden;
+  for (const auto* batch : {&first, &second})
+    for (const std::string& l : stable_lines(svc.run_batch(*batch)))
+      golden.push_back(l);
+  const ServiceStats local = svc.stats();
+  EXPECT_EQ(local.jobs_completed, 2u) << "one completed job per batch";
+  EXPECT_EQ(local.jobs_invalid, 1u);
+  EXPECT_EQ(local.jobs_failed, 1u);
+  EXPECT_EQ(local.jobs_retried, 1u);
+  EXPECT_GT(local.checkpoints_written, 0u);
+
+  TempDir dist_dir("stats_dist");
+  ServiceOptions dist_opt = sopt;
+  dist_opt.checkpoint_dir = dist_dir.path;
+  DistParams p;
+  p.workers.assign(1, FaultPlan{});
+  const DistRun run = run_dist_batches(dist_opt, {first, second}, p);
+  EXPECT_EQ(stable_lines(run.results), golden);
+  const ServiceStats& dist = run.stats;
+  EXPECT_EQ(dist.jobs_completed, local.jobs_completed);
+  EXPECT_EQ(dist.jobs_failed, local.jobs_failed);
+  EXPECT_EQ(dist.jobs_timed_out, local.jobs_timed_out);
+  EXPECT_EQ(dist.jobs_interrupted, local.jobs_interrupted);
+  EXPECT_EQ(dist.jobs_quarantined, local.jobs_quarantined);
+  EXPECT_EQ(dist.jobs_invalid, local.jobs_invalid);
+  EXPECT_EQ(dist.jobs_retried, local.jobs_retried);
+  EXPECT_EQ(dist.jobs_resumed, local.jobs_resumed);
+  EXPECT_EQ(dist.checkpoints_written, local.checkpoints_written);
+  EXPECT_EQ(dist.checkpoint_bytes, local.checkpoint_bytes);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "flow/experiment.h"
-#include "serve/service.h"
 
 namespace repro {
 namespace {
@@ -127,36 +127,6 @@ TEST(FlowConfig, InvalidPlacerFallsBackToAnnealer) {
     EXPECT_EQ(config_from_env().placer, PlacerBackend::kAnnealer)
         << "REPRO_PLACER=" << bad;
   }
-}
-
-TEST(ServiceConfig, EnvKnobsOverrideBase) {
-  EnvGuard g1("REPRO_SERVE_THREADS");
-  EnvGuard g2("REPRO_SERVE_JOB_TIMEOUT");
-  EnvGuard g3("REPRO_SERVE_MAX_RETRIES");
-  setenv("REPRO_SERVE_THREADS", "4", 1);
-  setenv("REPRO_SERVE_JOB_TIMEOUT", "2.5", 1);
-  setenv("REPRO_SERVE_MAX_RETRIES", "3", 1);
-  const ServiceOptions opt = service_options_from_env();
-  EXPECT_EQ(opt.threads, 4);
-  EXPECT_DOUBLE_EQ(opt.job_timeout_seconds, 2.5);
-  EXPECT_EQ(opt.max_retries, 3);
-}
-
-TEST(ServiceConfig, InvalidEnvKnobsFallBackToBase) {
-  EnvGuard g1("REPRO_SERVE_THREADS");
-  EnvGuard g2("REPRO_SERVE_JOB_TIMEOUT");
-  EnvGuard g3("REPRO_SERVE_MAX_RETRIES");
-  setenv("REPRO_SERVE_THREADS", "many", 1);
-  setenv("REPRO_SERVE_JOB_TIMEOUT", "-5", 1);
-  setenv("REPRO_SERVE_MAX_RETRIES", "3.5", 1);
-  ServiceOptions base;
-  base.threads = 2;
-  base.job_timeout_seconds = 60;
-  base.max_retries = 1;
-  const ServiceOptions opt = service_options_from_env(base);
-  EXPECT_EQ(opt.threads, 2);
-  EXPECT_DOUBLE_EQ(opt.job_timeout_seconds, 60);
-  EXPECT_EQ(opt.max_retries, 1);
 }
 
 }  // namespace

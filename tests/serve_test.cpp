@@ -1,5 +1,5 @@
 // Flow service tests: snapshot format, checkpoint/resume determinism,
-// scheduler retry/timeout classification and batch robustness.
+// retry-policy outcome classification and batch robustness.
 
 #include <gtest/gtest.h>
 
@@ -9,15 +9,16 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "audit/auditor.h"
 #include "gen/circuit_gen.h"
 #include "place/annealer.h"
 #include "serve/jsonl.h"
-#include "serve/scheduler.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
 #include "util/cancel.h"
@@ -348,75 +349,97 @@ TEST(Jsonl, ParseJobLineRejectsNonIntegralNumbers) {
       JsonlError);
 }
 
-// ---- scheduler ------------------------------------------------------------
+// ---- retry policy ---------------------------------------------------------
 
-TEST(Scheduler, RetriesFailuresUpToBudget) {
-  SchedulerOptions opt;
-  opt.threads = 1;
+// Runs each job's attempts through `policy` on its own thread, as
+// FlowService::run_batch's pool tasks do; results in input order.
+std::vector<JobResult> run_jobs(
+    RetryPolicy& policy, const std::vector<std::function<void(int)>>& jobs) {
+  std::vector<JobResult> results(jobs.size());
+  std::vector<JobTicket> tickets(jobs.size());
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    tickets[i].result = &results[i];
+    tickets[i].backoff_seed = i;
+    threads.emplace_back([&, i] { policy.run(tickets[i], jobs[i]); });
+  }
+  for (auto& t : threads) t.join();
+  return results;
+}
+
+TEST(RetryPolicy, RetriesFailuresUpToBudget) {
+  ServiceOptions opt;
   opt.max_retries = 2;
   opt.retry_backoff_seconds = 0;
-  Scheduler sched(opt);
+  RetryPolicy policy(opt, nullptr);
   int calls = 0;
-  auto outcomes = sched.run_all({[&](int attempt) {
+  const auto res = run_jobs(policy, {[&](int attempt) {
     ++calls;
     if (attempt < 3) throw std::runtime_error("flaky");
   }});
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(outcomes[0].state, JobState::kDone);
-  EXPECT_EQ(outcomes[0].attempts, 3);
+  ASSERT_EQ(res.size(), 1u);
+  EXPECT_EQ(res[0].state, JobState::kDone);
+  EXPECT_EQ(res[0].error_code, kJobOk);
+  EXPECT_EQ(res[0].attempts, 3);
+  EXPECT_EQ(res[0].error, "flaky");  // an earlier error survives success
   EXPECT_EQ(calls, 3);
-  EXPECT_EQ(sched.stats().retries.load(), 2u);
-  EXPECT_EQ(sched.stats().jobs_completed.load(), 1u);
+  EXPECT_EQ(policy.stats().jobs_retried, 2u);
+  EXPECT_EQ(policy.stats().jobs_completed, 1u);
 }
 
-TEST(Scheduler, FailsWhenBudgetExhaustedAndOthersComplete) {
-  SchedulerOptions opt;
-  opt.threads = 2;
+TEST(RetryPolicy, FailsWhenBudgetExhaustedAndOthersComplete) {
+  ServiceOptions opt;
   opt.max_retries = 1;
   opt.retry_backoff_seconds = 0;
-  Scheduler sched(opt);
-  auto outcomes = sched.run_all({
+  RetryPolicy policy(opt, nullptr);
+  const auto res = run_jobs(policy, {
       [](int) { throw std::runtime_error("always broken"); },
       [](int) {},
   });
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_EQ(outcomes[0].state, JobState::kFailed);
-  EXPECT_EQ(outcomes[0].attempts, 2);
-  EXPECT_EQ(outcomes[0].error, "always broken");
-  EXPECT_EQ(outcomes[1].state, JobState::kDone);
+  ASSERT_EQ(res.size(), 2u);
+  EXPECT_EQ(res[0].state, JobState::kFailed);
+  EXPECT_EQ(res[0].error_code, kJobFailed);
+  EXPECT_EQ(res[0].attempts, 2);
+  EXPECT_EQ(res[0].error, "always broken");
+  EXPECT_EQ(res[1].state, JobState::kDone);
+  EXPECT_EQ(policy.stats().jobs_failed, 1u);
+  EXPECT_EQ(policy.stats().jobs_completed, 1u);
 }
 
-TEST(Scheduler, TimeoutsAreNotRetried) {
-  SchedulerOptions opt;
-  opt.threads = 1;
+TEST(RetryPolicy, TimeoutsAreNotRetried) {
+  ServiceOptions opt;
   opt.max_retries = 5;
-  Scheduler sched(opt);
+  RetryPolicy policy(opt, nullptr);
   int calls = 0;
-  auto outcomes = sched.run_all({[&](int) {
+  const auto res = run_jobs(policy, {[&](int) {
     ++calls;
     throw FlowCancelled("route", /*killed=*/false);
   }});
-  EXPECT_EQ(outcomes[0].state, JobState::kTimedOut);
+  EXPECT_EQ(res[0].state, JobState::kTimedOut);
+  EXPECT_EQ(res[0].error_code, kJobTimedOut);
   EXPECT_EQ(calls, 1);
-  EXPECT_EQ(sched.stats().jobs_timed_out.load(), 1u);
+  EXPECT_EQ(policy.stats().jobs_timed_out, 1u);
 }
 
-TEST(Scheduler, KillFlagClassifiesAsCheckpointed) {
-  Scheduler sched({});
-  auto outcomes = sched.run_all({[&](int) {
-    sched.request_shutdown();
+TEST(RetryPolicy, KillFlagClassifiesAsCheckpointed) {
+  std::atomic<bool> shutdown{false};
+  RetryPolicy policy(ServiceOptions{}, &shutdown);
+  const auto res = run_jobs(policy, {[&](int) {
+    shutdown.store(true);
     CancelToken token;
-    token.set_kill_flag(sched.kill_flag());
+    token.set_kill_flag(&shutdown);
     token.check("replicate");
   }});
-  EXPECT_EQ(outcomes[0].state, JobState::kCheckpointed);
+  EXPECT_EQ(res[0].state, JobState::kCheckpointed);
+  EXPECT_EQ(res[0].error_code, kJobInterrupted);
+  EXPECT_EQ(policy.stats().jobs_interrupted, 1u);
 }
 
 // Retry backoff jitter is a pure function of (base, retry index, job seed):
 // the exact sequence is pinned so a refactor cannot silently change retry
 // timing, and the jittered value always stays inside the exponential
 // envelope [base * 2^(k-1) / 2, base * 2^(k-1)).
-TEST(Scheduler, RetryBackoffJitterSequenceIsPinned) {
+TEST(RetryPolicy, RetryBackoffJitterSequenceIsPinned) {
   EXPECT_DOUBLE_EQ(retry_backoff_with_jitter(1.0, 1, 42),
                    0.8707824393859116);
   EXPECT_DOUBLE_EQ(retry_backoff_with_jitter(1.0, 2, 42),

@@ -142,8 +142,7 @@ int usage() {
                "                       CI hook: exit 42 after N applied deltas\n"
                "                       have been persisted, without writing\n"
                "                       results\n"
-               "Env: REPRO_SERVE_THREADS, REPRO_SERVE_JOB_TIMEOUT,\n"
-               "     REPRO_SERVE_MAX_RETRIES, REPRO_AUDIT (flags win).\n");
+               "Env: REPRO_AUDIT, REPRO_PLACER (flags win).\n");
   return 2;
 }
 
@@ -251,7 +250,6 @@ struct InputLine {
 /// from the same environment + forwarded flags as the coordinator, which is
 /// what keeps remote attempts bit-identical to local ones.
 int build_service_options(const Args& args, ServiceOptions& sopt) {
-  sopt = service_options_from_env();
   sopt.base = config_from_env();
   if (!args.audit.empty() && !parse_audit_level(args.audit, &sopt.base.audit)) {
     std::fprintf(stderr, "flow_server: bad --audit level '%s'\n",
@@ -461,7 +459,7 @@ int main(int argc, char** argv) {
     }
 
     // Signals must not call into the service (handlers can only touch the
-    // atomic); a watcher thread relays the flag to the batch scheduler so
+    // atomic); a watcher thread relays the flag to the service so
     // in-flight jobs unwind at their next cancellation point.
     std::atomic<bool> watcher_done{false};
     std::thread watcher([&] {
