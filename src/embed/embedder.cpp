@@ -31,6 +31,8 @@ FaninTreeEmbedder::FaninTreeEmbedder(const FaninTree& tree, const EmbeddingGraph
     a_ = std::move(scratch_->a);
     spill_ = std::move(scratch_->spill);
     spill_.clear();
+    stairs_ = std::move(scratch_->stairs);
+    merged_ = std::move(scratch_->merged);
   }
   a_.resize(tree_.size());
   for (auto& per_vertex : a_) {
@@ -41,6 +43,7 @@ FaninTreeEmbedder::FaninTreeEmbedder(const FaninTree& tree, const EmbeddingGraph
       list.live = 0;
     }
   }
+  if (sweep_applies()) mesh_ = graph_.mesh();
 }
 
 FaninTreeEmbedder::~FaninTreeEmbedder() {
@@ -53,9 +56,13 @@ FaninTreeEmbedder::~FaninTreeEmbedder() {
                  list.cold.capacity() * sizeof(LabelCold);
     }
     bytes += spill_.capacity() * sizeof(std::uint32_t);
+    for (const auto& s : stairs_) bytes += s.capacity() * sizeof(SweepLabel);
+    bytes += merged_.capacity() * sizeof(SweepLabel);
     arena_record_peak(arena_counters().embed_scratch_bytes, bytes);
     scratch_->a = std::move(a_);
     scratch_->spill = std::move(spill_);
+    scratch_->stairs = std::move(stairs_);
+    scratch_->merged = std::move(merged_);
   }
 }
 
@@ -180,6 +187,163 @@ void FaninTreeEmbedder::wavefront(TreeNodeId i) {
           insert_label(lists[e.to.index()], next, cold, buffers_, labels_created_);
       if (at != kRejected) pq.push(QItem{next.cost, next.delay.v[0], e.to, at});
     }
+  }
+}
+
+bool FaninTreeEmbedder::sweep_applies() {
+  // Uniform shifts keep a 2-D (cost, lex delay) dominance order; Lex-mc
+  // shifts tc only for some labels, and stem delay and branching bits add
+  // dominance dimensions the staircase merge does not track.
+  const EmbeddingGraph::Mesh* mesh = graph_.mesh();
+  if (!mesh || opt_.lex_mc || stem_delay_ || opt_.overlap_avoidance) return false;
+  auto non_negative = [](double cost, double delay) { return cost >= 0 && delay >= 0; };
+  if (!non_negative(mesh->cost_per_unit, mesh->delay_per_unit)) return false;
+  // An extra vertex may touch only one mesh vertex (its anchor) and no other
+  // extra vertex; then no shortest path passes through it, and relaxing it
+  // into the mesh before the sweep and out of it after is exact.
+  const std::size_t nv = graph_.num_vertices();
+  std::vector<EmbedVertexId> anchor(nv - mesh->count, EmbedVertexId::invalid());
+  auto attach = [&](std::size_t extra, EmbedVertexId to) {
+    EmbedVertexId& a = anchor[extra - mesh->count];
+    if (a.valid() && a != to) return false;
+    a = to;
+    return true;
+  };
+  spliced_in_.clear();
+  for (std::size_t v = 0; v < nv; ++v) {
+    const EmbedVertexId from(static_cast<EmbedVertexId::value_type>(v));
+    for (const EmbeddingGraph::Edge& e : graph_.edges_from(from)) {
+      if (!non_negative(e.cost, e.delay)) return false;
+      const bool extra_to = e.to.index() >= mesh->count;
+      if (v < mesh->count) {
+        if (!extra_to) continue;  // a mesh edge
+        if (!attach(e.to.index(), from)) return false;
+        spliced_in_.emplace_back(from, e);
+      } else if (extra_to || !attach(v, e.to)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+void FaninTreeEmbedder::merge_shifted(std::vector<SweepLabel>& dst,
+                                      const std::vector<SweepLabel>& src, double cost,
+                                      double delay) {
+  // Both inputs are staircases: costs strictly rise and delays strictly fall
+  // (lexicographically). Walking them in (cost, delay) order, an entry is
+  // dominated iff its delay is not below the last kept one. On a full tie
+  // the entry already at the vertex goes first, so it survives.
+  merged_.clear();
+  auto keep = [this](const SweepLabel& x) {
+    if (merged_.empty() || x.key.delay.lex_compare(merged_.back().key.delay) < 0)
+      merged_.push_back(x);
+  };
+  auto shifted = [&](std::size_t k) {
+    SweepLabel s = src[k];
+    s.key.cost += cost;
+    s.key.delay.shift(delay);
+    s.key.branching = 0;
+    return s;
+  };
+  std::size_t a = 0;
+  std::size_t b = 0;
+  SweepLabel next = shifted(0);
+  while (true) {
+    const bool take_dst =
+        a < dst.size() &&
+        (dst[a].key.cost < next.key.cost ||
+         (dst[a].key.cost == next.key.cost &&
+          dst[a].key.delay.lex_compare(next.key.delay) <= 0));
+    if (take_dst) {
+      keep(dst[a++]);
+      continue;
+    }
+    keep(next);
+    if (++b == src.size()) break;
+    next = shifted(b);
+  }
+  while (a < dst.size()) keep(dst[a++]);
+  // The max_labels rule of cap_list: an even cost-rank sample, ends kept.
+  const auto cap = static_cast<std::size_t>(opt_.max_labels);
+  if (cap > 0 && merged_.size() > 2 * cap) {
+    const std::size_t n = merged_.size();
+    for (std::size_t k = 0; k < cap; ++k)
+      merged_[k] = merged_[cap == 1 ? 0 : k * (n - 1) / (cap - 1)];
+    merged_.resize(cap);
+  }
+  dst.swap(merged_);
+}
+
+void FaninTreeEmbedder::sweep_wavefront(TreeNodeId i) {
+  // On the mesh every edge adds the same (cost, delay), so a label at u
+  // reaches v as (C + c·d, D + t·d) with d the Manhattan distance: the
+  // frontier after GenDijkstra is the L1 distance transform of the joined
+  // labels, computed by a forward and a backward pass along every column,
+  // then along every row.
+  std::vector<LabelList>& lists = a_[i.index()];
+  const std::size_t nv = lists.size();
+  const EmbeddingGraph::Mesh& mesh = *mesh_;
+  stairs_.resize(nv);
+  for (std::size_t j = 0; j < nv; ++j) {
+    std::vector<SweepLabel>& s = stairs_[j];
+    s.clear();
+    const EmbedVertexId v(static_cast<EmbedVertexId::value_type>(j));
+    for (std::uint32_t li = 0; li < lists[j].key.size(); ++li)
+      if (!lists[j].key[li].dead) s.push_back(SweepLabel{lists[j].key[li], v, li});
+    // Live keys are an antichain, so their costs are distinct.
+    std::sort(s.begin(), s.end(), [](const SweepLabel& x, const SweepLabel& y) {
+      return x.key.cost < y.key.cost;
+    });
+  }
+
+  for (std::size_t v = mesh.count; v < nv; ++v)
+    if (!stairs_[v].empty())
+      for (const EmbeddingGraph::Edge& e :
+           graph_.edges_from(EmbedVertexId(static_cast<EmbedVertexId::value_type>(v))))
+        merge_shifted(stairs_[e.to.index()], stairs_[v], e.cost, e.delay);
+
+  const auto w = static_cast<std::size_t>(mesh.region.width());
+  const auto h = static_cast<std::size_t>(mesh.region.height());
+  auto line = [&](std::size_t first, std::size_t stride, std::size_t len) {
+    for (std::size_t k = 1; k < len; ++k)
+      if (!stairs_[first + (k - 1) * stride].empty())
+        merge_shifted(stairs_[first + k * stride], stairs_[first + (k - 1) * stride],
+                      mesh.cost_per_unit, mesh.delay_per_unit);
+    for (std::size_t k = len - 1; k-- > 0;)
+      if (!stairs_[first + (k + 1) * stride].empty())
+        merge_shifted(stairs_[first + k * stride], stairs_[first + (k + 1) * stride],
+                      mesh.cost_per_unit, mesh.delay_per_unit);
+  };
+  for (std::size_t x = 0; x < w; ++x) line(x, w, h);
+  for (std::size_t y = 0; y < h; ++y) line(y * w, 1, w);
+
+  for (const auto& [from, e] : spliced_in_)
+    if (!stairs_[from.index()].empty())
+      merge_shifted(stairs_[e.to.index()], stairs_[from.index()], e.cost, e.delay);
+
+  // Write the final staircases back: a label already in the table survives
+  // iff its own entry is still on the staircase; the others are appended in
+  // cost order, pointing straight at the label they were shifted from.
+  for (std::size_t j = 0; j < nv; ++j) {
+    LabelList& list = lists[j];
+    for (LabelKey& k : list.key) k.dead = 1;
+    list.key.reserve(list.key.size() + stairs_[j].size());
+    list.cold.reserve(list.key.capacity());
+    for (const SweepLabel& s : stairs_[j]) {
+      if (s.origin.index() == j) {
+        list.key[s.origin_label].dead = 0;
+        continue;
+      }
+      LabelCold cold;
+      cold.prov.kind = Provenance::Kind::kAugment;
+      cold.prov.from = s.origin;
+      cold.prov.pred_label = s.origin_label;
+      list.key.push_back(s.key);
+      list.cold.push_back(cold);
+      ++labels_created_;
+    }
+    list.live = static_cast<std::uint32_t>(stairs_[j].size());
   }
 }
 
@@ -370,10 +534,14 @@ bool FaninTreeEmbedder::run() {
       }
       key.branching = 1;
       insert_label(a_[i.index()][v.index()], key, cold, buffers_, labels_created_);
-      if (!is_root) wavefront(i);
     } else {
       join_node(i, is_root);
-      if (!is_root) wavefront(i);
+    }
+    if (!is_root) {
+      if (mesh_)
+        sweep_wavefront(i);
+      else
+        wavefront(i);
     }
   }
 

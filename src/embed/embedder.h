@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "embed/embedding_graph.h"
@@ -71,6 +72,14 @@ struct LabelList {
   std::uint32_t live = 0;  ///< keys with dead == 0
 };
 
+/// One entry of a mesh-sweep staircase: a label's key and the unshifted label
+/// it was reached from (docs/ALGORITHMS.md §1).
+struct SweepLabel {
+  LabelKey key;
+  EmbedVertexId origin;
+  std::uint32_t origin_label;
+};
+
 /// Reusable embedder storage. Constructing a FaninTreeEmbedder with a
 /// scratch adopts the previously grown A[i][j] tables, label-list
 /// capacities and spill pools, and the destructor returns them, so a loop
@@ -81,6 +90,9 @@ struct LabelList {
 struct EmbedScratch {
   std::vector<std::vector<LabelList>> a;
   std::vector<std::uint32_t> spill;
+  /// The mesh sweep's per-vertex staircases and its merge buffer.
+  std::vector<std::vector<SweepLabel>> stairs;
+  std::vector<SweepLabel> merged;
 };
 
 /// One entry of the root trade-off curve.
@@ -96,7 +108,9 @@ struct RootSolution {
 /// bottom-up over the tree; at each node, candidate solutions of the child
 /// subtrees are joined at every vertex and propagated through the graph by a
 /// generalized Dijkstra wavefront, keeping only non-dominated
-/// (cost, delay...) signatures.
+/// (cost, delay...) signatures. On a make_grid mesh with the RT or Lex-N
+/// objective the wavefront is a row and column sweep instead, which yields
+/// the same signatures (docs/ALGORITHMS.md §1).
 class FaninTreeEmbedder {
  public:
   /// Placement costs at or above this value mark a vertex as forbidden for
@@ -172,7 +186,16 @@ class FaninTreeEmbedder {
                              const LabelCold& cold, WorkBuffers& wb,
                              std::size_t& created);
   void cap_list(LabelList& list, std::vector<std::uint32_t>& order);
+  /// True if the sweep may replace GenDijkstra: the objective is RT or Lex-N
+  /// and the graph is a make_grid mesh whose extra vertices each hang off
+  /// one mesh vertex, with no negative edge. Fills spliced_in_.
+  bool sweep_applies();
   void wavefront(TreeNodeId i);
+  void sweep_wavefront(TreeNodeId i);
+  /// Merges the non-empty staircase `src`, shifted by one edge, into the
+  /// staircase `dst`.
+  void merge_shifted(std::vector<SweepLabel>& dst, const std::vector<SweepLabel>& src,
+                     double cost, double delay);
   void join_node(TreeNodeId i, bool root_mode);
   /// Joins node i at every vertex in [lo, hi), appending >2-child provenance
   /// to `spill` with offsets local to it, and counting new labels in
@@ -198,6 +221,13 @@ class FaninTreeEmbedder {
   std::vector<std::uint32_t> spill_;
   /// Buffers of the serial phases (wavefront, serial join).
   WorkBuffers buffers_;
+
+  /// Set when the wavefront is the mesh sweep (sweep_applies()).
+  const EmbeddingGraph::Mesh* mesh_ = nullptr;
+  /// Edges from mesh vertices to the extra vertices hanging off them.
+  std::vector<std::pair<EmbedVertexId, EmbeddingGraph::Edge>> spliced_in_;
+  std::vector<std::vector<SweepLabel>> stairs_;
+  std::vector<SweepLabel> merged_;
 
   std::vector<RootSolution> tradeoff_;
   std::size_t labels_created_ = 0;

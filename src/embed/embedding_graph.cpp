@@ -20,6 +20,8 @@ EmbeddingGraph EmbeddingGraph::make_grid(const Rect& region, double wire_cost_pe
       if (v.valid()) g.add_bidi_edge(u, v, wire_cost_per_unit, wire_delay_per_unit);
     }
   }
+  if (!blocked)
+    g.mesh_ = Mesh{region, wire_cost_per_unit, wire_delay_per_unit, g.num_vertices()};
   return g;
 }
 

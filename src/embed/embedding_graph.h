@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -33,8 +35,21 @@ class EmbeddingGraph {
     return id;
   }
 
-  /// Adds a directed edge u -> v.
+  /// Mesh descriptor of a graph built by make_grid over a full region:
+  /// vertices [0, count) are the region's points in row-major order, and
+  /// every mesh edge joins 4-neighbors at the same per-unit cost and delay.
+  /// Vertices added later (spliced terminals) come after them.
+  struct Mesh {
+    Rect region;
+    double cost_per_unit;
+    double delay_per_unit;
+    std::size_t count;
+  };
+
+  /// Adds a directed edge u -> v. An edge between two mesh vertices makes
+  /// the mesh irregular, so it drops the mesh descriptor.
   void add_edge(EmbedVertexId u, EmbedVertexId v, double cost, double delay) {
+    if (mesh_ && u.index() < mesh_->count && v.index() < mesh_->count) mesh_.reset();
     adj_[u.index()].push_back(Edge{v, cost, delay});
   }
   /// Adds edges in both directions.
@@ -47,6 +62,10 @@ class EmbeddingGraph {
   Point point(EmbedVertexId v) const { return points_[v.index()]; }
   const std::vector<Edge>& edges_from(EmbedVertexId v) const { return adj_[v.index()]; }
 
+  /// The mesh descriptor, or null if the graph is not an unmodified
+  /// make_grid mesh (plus vertices added after it).
+  const Mesh* mesh() const { return mesh_ ? &*mesh_ : nullptr; }
+
   /// Vertex at a point, or invalid if none (blocked / outside the region).
   EmbedVertexId vertex_at(Point p) const {
     auto it = by_point_.find(key(p));
@@ -54,7 +73,8 @@ class EmbeddingGraph {
   }
 
   /// Builds a 4-neighbor mesh over `region` (inclusive), skipping points for
-  /// which `blocked` returns true. Edge cost/delay are per unit length.
+  /// which `blocked` returns true. Edge cost/delay are per unit length. With
+  /// no `blocked` the graph carries a mesh descriptor.
   static EmbeddingGraph make_grid(const Rect& region, double wire_cost_per_unit,
                                   double wire_delay_per_unit,
                                   const std::function<bool(Point)>& blocked = {});
@@ -72,6 +92,7 @@ class EmbeddingGraph {
   std::vector<Point> points_;
   std::vector<std::vector<Edge>> adj_;
   std::unordered_map<long long, EmbedVertexId> by_point_;
+  std::optional<Mesh> mesh_;
 };
 
 }  // namespace repro
