@@ -243,7 +243,8 @@ void expect_identical_runs(const ParallelHarness& a, const EngineResult& ra,
 TEST(ParallelEngine, SerialMatchesPrePrGoldens) {
   // Hexfloat trajectories captured from the serial engine BEFORE the thread
   // pool existed (same toolchain and flags). Any drift here means a refactor
-  // changed the serial algorithm.
+  // changed the serial algorithm. Seed 23 was re-captured when the mesh sweep
+  // changed the embedder's tie order (docs/ALGORITHMS.md §1).
   struct Golden {
     std::uint64_t seed;
     double final_critical;
@@ -256,7 +257,7 @@ TEST(ParallelEngine, SerialMatchesPrePrGoldens) {
   const Golden goldens[] = {
       {21, 0x1.7666666666666p+5, 0x1.11eec710cb296p+10, 150, 40, 13, 3},
       {22, 0x1.2e66666666666p+5, 0x1.efb03e425aee7p+9, 145, 40, 13, 8},
-      {23, 0x1.d666666666666p+5, 0x1.e4436113404e8p+9, 146, 40, 11, 5},
+      {23, 0x1.da66666666666p+5, 0x1.00179f559b3dp+10, 151, 40, 17, 6},
   };
   for (const Golden& g : goldens) {
     SCOPED_TRACE(g.seed);

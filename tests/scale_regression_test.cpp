@@ -8,7 +8,9 @@
 // erase PO pool in the generator) with exactly the options used here. Every
 // arena/flat path must keep reproducing them. If a deliberate algorithm
 // change invalidates them, re-capture from a build of the previous commit —
-// never from the build under test.
+// never from the build under test. The ex5p trajectory was re-captured once,
+// when the mesh sweep replaced the embedder's heap wavefront and with it the
+// tie order among equal-signature solutions (docs/ALGORITHMS.md §1).
 
 #include <gtest/gtest.h>
 
@@ -144,8 +146,8 @@ void PrintTo(const Golden& g, std::ostream* os) { *os << g.circuit; }
 
 constexpr Golden kGoldens[] = {
     {"ex5p", 9007716736109602111ull, 105, 6640744256810646108ull,
-     529.74430000000007, 25.100000000000001, 622.21559999999999, 30, 21, 49,
-     6502635797490821597ull, 4894285030289752247ull, 18292034932375158894ull},
+     529.74430000000007, 25.100000000000001, 628.72100000000012, 47, 36, 49,
+     9726054710181718459ull, 733917218162964936ull, 15253449003638486077ull},
     {"s298", 6262762595882575935ull, 158, 13632590844890047540ull,
      1253.6798999999999, 38.799999999999997, 1484.3474999999996, 20, 8, 67,
      9878920138436358821ull, 11797181351298554228ull, 7268923040173613321ull},
