@@ -4,6 +4,7 @@
 // copy of a prepared circuit and evaluate it post-routing.
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <ctime>
 #include <memory>
@@ -21,8 +22,9 @@ inline double now_seconds() {
 }
 
 /// Emits the `summary` block every BENCH_*.json opens with (schema in
-/// EXPERIMENTS.md): benchmark name, one headline speedup figure, run date.
-/// Call immediately after writing the opening "{\n".
+/// EXPERIMENTS.md): benchmark name, one headline speedup figure (NaN, written
+/// as null, for a bench without one), run date. Call immediately after
+/// writing the opening "{\n".
 inline void emit_summary(std::FILE* out, const char* name,
                          double aggregate_speedup) {
   char date[16];
@@ -30,10 +32,13 @@ inline void emit_summary(std::FILE* out, const char* name,
   std::tm tm_buf{};
   localtime_r(&now, &tm_buf);
   std::strftime(date, sizeof date, "%Y-%m-%d", &tm_buf);
+  char speedup[32] = "null";
+  if (!std::isnan(aggregate_speedup))
+    std::snprintf(speedup, sizeof speedup, "%.2f", aggregate_speedup);
   std::fprintf(out,
                "  \"summary\": {\"name\": \"%s\", \"aggregate_speedup\": "
-               "%.2f, \"date\": \"%s\"},\n",
-               name, aggregate_speedup, date);
+               "%s, \"date\": \"%s\"},\n",
+               name, speedup, date);
 }
 
 /// A netlist+placement copy that can be optimized independently.

@@ -52,13 +52,6 @@ struct CircuitResult {
 constexpr int kReps = 3;
 constexpr double kScale = 0.05;
 
-const McncCircuit& circuit_named(const char* name) {
-  for (const McncCircuit& m : mcnc_suite())
-    if (m.name == std::string(name)) return m;
-  std::fprintf(stderr, "no such circuit: %s\n", name);
-  std::exit(1);
-}
-
 double flow_seconds(const Golden& g, AuditLevel level, int* checks) {
   JobSpec spec;
   spec.id = std::string(g.circuit) + "-" + audit_level_name(level);
@@ -95,7 +88,7 @@ double battery_ms(const Golden& g, AuditLevel level) {
   cfg.scale = kScale;
   cfg.seed = g.seed;
   cfg.num_threads = 1;
-  PlacedCircuit p = prepare_circuit(circuit_named(g.circuit), cfg);
+  PlacedCircuit p = prepare_circuit(*find_mcnc_circuit(g.circuit), cfg);
   AuditOptions opt;
   opt.level = level;
   opt.seed = cfg.seed;

@@ -45,9 +45,7 @@ const BenchCircuit kFull[] = {
 };
 
 FlowSnapshot make_base(const BenchCircuit& bc) {
-  const McncCircuit* c = nullptr;
-  for (const McncCircuit& m : mcnc_suite())
-    if (!std::strcmp(bc.name, m.name)) c = &m;
+  const McncCircuit* c = find_mcnc_circuit(bc.name);
   FlowSnapshot s;
   s.job_id = "bench";
   s.circuit = bc.name;

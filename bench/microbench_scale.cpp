@@ -1,47 +1,25 @@
-// Scale benchmark: SoA arena data layout vs the pre-PR map-based layout
-// (DESIGN.md §9) across the full generate -> place -> replicate -> route
-// pipeline.
+// Scale benchmark: the default generate -> place -> replicate -> route
+// pipeline on generated clma-profile circuits of 2k / 10k / 30k / 100k logic
+// blocks (DESIGN.md §9), with per-stage wall time and peak RSS as telemetry.
+// Writes BENCH_scale.json into the working directory.
 //
-// Three configurations run the same circuits end to end:
-//   baseline  the pre-PR configuration: unordered_map SPT extraction +
-//             monotone bound (EngineOptions::flat_scratch = false), per-move
-//             net bbox recomputation from materialized terminal lists
-//             (AnnealerOptions::incremental_bbox = false), and no
-//             embedding-region guard (max_region_points = 0) — pre-PR, a
-//             chip-spanning tree paid a chip-sized DP.
-//   legacy    the scale-pass knobs (region guard on) but the pre-PR map
-//             data layouts. Exists to prove in-bench that the layouts alone
-//             change nothing: results must be bit-identical to `arena`.
-//   arena     the defaults: generation-stamped flat scratch arenas,
-//             incrementally maintained net bounding boxes, region guard on.
-//
-// `legacy` and `arena` must produce bit-identical results (netlist,
-// placement, engine trajectory) — the layouts differ, the arithmetic does
-// not. `baseline` runs different (pre-PR) options, so its results may
-// legitimately differ; it exists for the wall-time/RSS trajectory. The
-// benchmark records per-stage wall time and peak RSS for a sweep of sizes,
-// with the arena configuration extended beyond the largest size the
-// baseline can afford, and emits BENCH_scale.json.
-//
-// Gates:
-//   full run    aggregate place+replicate speedup of arena over baseline
-//               >= 2x at the largest common size; legacy/arena bit-identity
-//               at every common size.
-//   --smoke     smallest size only; bit-identity always. With
-//               --reference <committed BENCH_scale.json>, the measured
-//               speedup must stay within 10% of the committed smoke_gate
-//               speedup and the arena config's arena high-water bytes
-//               within 10% of the committed value. Both are
-//               machine-insensitive: the speedup is a ratio (a slower
-//               machine shifts both configs equally) and arena_bytes is
-//               allocator accounting, not kernel RSS (DESIGN.md §9: RSS is
-//               telemetry, never a pinned number).
+// Gate (--smoke runs the smallest size only). With --reference <committed
+// BENCH_scale.json>:
+//   - the smoke size's netlist, placement and history fingerprints, routed
+//     wirelength and routed-delay bits must equal the committed values
+//     exactly: the flow is deterministic, so any difference is a behaviour
+//     change that needs a deliberate re-baseline;
+//   - the arena high-water bytes (deterministic ArenaCounters accounting,
+//     not kernel RSS) must not exceed the committed value by more than 10%.
+// Seconds and RSS are machine-dependent and never gated.
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -97,26 +75,29 @@ std::uint64_t placement_fingerprint(const Netlist& nl, const Placement& pl) {
   return h;
 }
 
-// ---- bench ----------------------------------------------------------------
+std::uint64_t double_bits(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
 
-struct Config {
-  const char* name;
-  bool flat;              ///< arena data layouts (vs pre-PR maps/allocs)
-  int region_points;      ///< EngineOptions::max_region_points
-};
-constexpr int kRegionGuard = 4096;
-constexpr Config kConfigs[] = {{"baseline", false, 0},
-                               {"legacy", false, kRegionGuard},
-                               {"arena", true, kRegionGuard}};
+std::string hex(std::uint64_t v) {
+  char buf[20];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+// ---- bench ----------------------------------------------------------------
 
 struct StageResult {
   double seconds = 0;
   std::uint64_t peak_rss = 0;
 };
 
-struct ConfigResult {
-  std::string config;
-  StageResult place, replicate, route;
+struct SizeResult {
+  int num_logic = 0;
+  std::size_t cells = 0;
+  StageResult gen, place, replicate, route;
   double final_critical = 0;
   double routed_delay = 0;
   std::int64_t wirelength = 0;
@@ -126,15 +107,6 @@ struct ConfigResult {
   std::uint64_t arena_bytes = 0;
   std::uint64_t scratch_reuses = 0;
   std::uint64_t scratch_growths = 0;
-  double toggled_seconds() const { return place.seconds + replicate.seconds; }
-};
-
-struct SizeResult {
-  int num_logic = 0;
-  std::size_t cells = 0;
-  double gen_seconds = 0;
-  std::uint64_t gen_peak_rss = 0;
-  std::vector<ConfigResult> configs;
 };
 
 /// The clma profile scaled to the requested LUT count keeps Table I's
@@ -145,22 +117,28 @@ CircuitSpec spec_for_size(int num_logic, std::uint64_t seed) {
   return spec_for(clma, static_cast<double>(num_logic) / clma.luts, seed);
 }
 
-ConfigResult run_config(const Netlist& gen_nl, const FpgaGrid& grid,
-                        const Config& c, std::uint64_t seed) {
+SizeResult run_size(int num_logic, std::uint64_t seed) {
   const LinearDelayModel dm;
-  ConfigResult out;
-  out.config = c.name;
-  arena_counters().reset();
+  SizeResult out;
+  out.num_logic = num_logic;
 
-  Netlist nl = gen_nl;
+  // ---- generate
+  reset_peak_rss();
+  double t0 = bench::now_seconds();
+  Netlist nl = generate_circuit(spec_for_size(num_logic, seed));
+  out.gen.seconds = bench::now_seconds() - t0;
+  out.gen.peak_rss = peak_rss_bytes();
+  out.cells = nl.num_live_cells();
+  FpgaGrid grid(FpgaGrid::min_grid_for(
+      nl.num_logic(), nl.num_input_pads() + nl.num_output_pads()));
+  arena_counters().reset();
 
   // ---- place
   reset_peak_rss();
-  double t0 = bench::now_seconds();
+  t0 = bench::now_seconds();
   AnnealerOptions aopt;
   aopt.inner_num = 0.1;  // bench knob: keeps 1e5-cell anneals in minutes
   aopt.seed = seed * 977 + 13;
-  aopt.incremental_bbox = c.flat;
   Placement pl = anneal_placement(nl, grid, dm, aopt);
   out.place.seconds = bench::now_seconds() - t0;
   out.place.peak_rss = peak_rss_bytes();
@@ -170,32 +148,28 @@ ConfigResult run_config(const Netlist& gen_nl, const FpgaGrid& grid,
   t0 = bench::now_seconds();
   EngineOptions eopt;
   eopt.variant = EmbedVariant::kLex3;
-  eopt.max_iterations = 4;  // bench knob: bounded optimization effort
+  // Bench knobs: bounded optimization effort, modest trees and short Pareto
+  // lists bound the embedding DP per call, and the region guard keeps
+  // chip-spanning trees from costing a chip-sized DP at 1e4+ cells.
+  eopt.max_iterations = 4;
   eopt.max_stagnant_iterations = 4;
-  // Bench knobs (same for every config; both existed pre-PR): modest trees
-  // and short Pareto lists bound the embedding DP per call. The region
-  // guard is this PR's scale fix, so it is off in the pre-PR baseline.
   eopt.max_tree_internal = 64;
   eopt.max_labels = 8;
-  eopt.max_region_points = c.region_points;
+  eopt.max_region_points = 4096;
   eopt.num_threads = 1;
-  eopt.flat_scratch = c.flat;
   EngineResult r = run_replication_engine(nl, pl, dm, eopt);
   out.replicate.seconds = bench::now_seconds() - t0;
   out.replicate.peak_rss = peak_rss_bytes();
   out.final_critical = r.final_critical;
   out.history_fp = fnv_init();
   for (const IterationStats& it : r.history) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &it.critical_delay, sizeof(bits));
     mix(out.history_fp, static_cast<std::uint64_t>(it.iteration));
-    mix(out.history_fp, bits);
+    mix(out.history_fp, double_bits(it.critical_delay));
     mix(out.history_fp, static_cast<std::uint64_t>(it.replicated_cum));
     mix(out.history_fp, static_cast<std::uint64_t>(it.unified_cum));
   }
 
-  // ---- route (W_inf; identical code in both configs, timed for the
-  // end-to-end trajectory)
+  // ---- route (W_inf)
   reset_peak_rss();
   t0 = bench::now_seconds();
   RouterOptions ropt;
@@ -214,18 +188,68 @@ ConfigResult run_config(const Netlist& gen_nl, const FpgaGrid& grid,
   return out;
 }
 
-const ConfigResult* find_config(const SizeResult& sr, const char* name) {
-  for (const ConfigResult& c : sr.configs)
-    if (c.config == name) return &c;
-  return nullptr;
+/// The value of `"key": <token>` in a committed JSON file: a string's
+/// contents without quotes, or a number's text. "" when the key is missing.
+std::string json_field(const std::string& text, const char* key) {
+  const std::string needle = std::string("\"") + key + "\": ";
+  auto pos = text.find(needle);
+  if (pos == std::string::npos) return "";
+  pos += needle.size();
+  if (text[pos] == '"') {
+    const auto end = text.find('"', pos + 1);
+    return end == std::string::npos ? "" : text.substr(pos + 1, end - pos - 1);
+  }
+  return text.substr(pos, text.find_first_of(",} \n", pos) - pos);
 }
 
-/// Minimal token scan for `"key": <number>` in a committed JSON file.
-bool json_number_after(const std::string& text, const char* key, double* out) {
-  std::string needle = std::string("\"") + key + "\":";
-  auto pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  return std::sscanf(text.c_str() + pos + needle.size(), " %lf", out) == 1;
+/// Checks the smoke-size result against the committed reference; returns
+/// the number of gate failures.
+int check_reference(const SizeResult& s, const std::string& reference) {
+  FILE* f = std::fopen(reference.c_str(), "rb");
+  if (!f) {
+    std::fprintf(stderr, "FAIL: cannot read reference %s\n", reference.c_str());
+    return 1;
+  }
+  std::string text;
+  char buf[4096];
+  for (std::size_t got; (got = std::fread(buf, 1, sizeof(buf), f)) > 0;)
+    text.append(buf, got);
+  std::fclose(f);
+
+  int failures = 0;
+  const std::pair<const char*, std::string> exact[] = {
+      {"smoke_netlist_fp", hex(s.netlist_fp)},
+      {"smoke_placement_fp", hex(s.placement_fp)},
+      {"smoke_history_fp", hex(s.history_fp)},
+      {"smoke_wirelength", std::to_string(s.wirelength)},
+      {"smoke_routed_delay_bits", hex(double_bits(s.routed_delay))},
+  };
+  for (const auto& [key, measured] : exact) {
+    const std::string committed = json_field(text, key);
+    if (committed != measured) {
+      std::fprintf(stderr,
+                   "FAIL: %s %s differs from committed %s — the flow's "
+                   "output changed\n",
+                   key, measured.c_str(),
+                   committed.empty() ? "(missing)" : committed.c_str());
+      ++failures;
+    }
+  }
+  const std::string ref_arena_text = json_field(text, "smoke_arena_bytes");
+  const double ref_arena = std::atof(ref_arena_text.c_str());
+  if (ref_arena_text.empty() ||
+      static_cast<double>(s.arena_bytes) > ref_arena * 1.1) {
+    std::fprintf(stderr,
+                 "FAIL: smoke arena high-water %.1f MiB exceeds committed "
+                 "%.1f MiB by >10%%\n",
+                 s.arena_bytes / 1048576.0, ref_arena / 1048576.0);
+    ++failures;
+  }
+  std::printf("smoke gate vs %s: %s, arena %.1f MiB (committed %.1f MiB)\n",
+              reference.c_str(),
+              failures ? "FAILED" : "fingerprints, wirelength, delay identical",
+              s.arena_bytes / 1048576.0, ref_arena / 1048576.0);
+  return failures;
 }
 
 }  // namespace
@@ -247,133 +271,28 @@ int main(int argc, char** argv) {
   }
 
   const std::uint64_t seed = 7;
-  // Sizes both configs run; the arena config alone extends the trajectory.
-  const std::vector<int> common_sizes =
-      smoke ? std::vector<int>{2000} : std::vector<int>{2000, 10000, 30000};
-  const std::vector<int> arena_only_sizes =
-      smoke ? std::vector<int>{} : std::vector<int>{100000};
+  const std::vector<int> sizes =
+      smoke ? std::vector<int>{2000} : std::vector<int>{2000, 10000, 30000, 100000};
 
   std::vector<SizeResult> results;
-  int failures = 0;
-
-  auto run_size = [&](int num_logic, bool both) {
-    SizeResult sr;
-    sr.num_logic = num_logic;
-    reset_peak_rss();
-    const double t0 = bench::now_seconds();
-    Netlist nl = generate_circuit(spec_for_size(num_logic, seed));
-    sr.gen_seconds = bench::now_seconds() - t0;
-    sr.gen_peak_rss = peak_rss_bytes();
-    sr.cells = nl.num_live_cells();
-    FpgaGrid grid(FpgaGrid::min_grid_for(
-        nl.num_logic(), nl.num_input_pads() + nl.num_output_pads()));
-    for (const Config& c : kConfigs) {
-      if (!c.flat && !both) continue;
-      sr.configs.push_back(run_config(nl, grid, c, seed));
-      const ConfigResult& cr = sr.configs.back();
-      std::printf(
-          "n=%6d cells=%6zu %-8s place=%7.2fs repl=%7.2fs route=%7.2fs "
-          "rss=%5.0f/%5.0f/%5.0f MiB crit=%.4f wl=%lld nl_fp=%016llx\n",
-          num_logic, sr.cells, cr.config.c_str(), cr.place.seconds,
-          cr.replicate.seconds, cr.route.seconds,
-          cr.place.peak_rss / 1048576.0, cr.replicate.peak_rss / 1048576.0,
-          cr.route.peak_rss / 1048576.0, cr.final_critical,
-          static_cast<long long>(cr.wirelength),
-          static_cast<unsigned long long>(cr.netlist_fp));
-      std::fflush(stdout);
-    }
-    if (both) {
-      const ConfigResult* lg = find_config(sr, "legacy");
-      const ConfigResult* ar = find_config(sr, "arena");
-      if (lg->netlist_fp != ar->netlist_fp ||
-          lg->placement_fp != ar->placement_fp ||
-          lg->history_fp != ar->history_fp || lg->wirelength != ar->wirelength ||
-          lg->routed_delay != ar->routed_delay) {
-        std::fprintf(stderr,
-                     "FAIL n=%d: arena layout not bit-identical to legacy "
-                     "(nl %016llx/%016llx pl %016llx/%016llx hist %016llx/%016llx)\n",
-                     num_logic, static_cast<unsigned long long>(lg->netlist_fp),
-                     static_cast<unsigned long long>(ar->netlist_fp),
-                     static_cast<unsigned long long>(lg->placement_fp),
-                     static_cast<unsigned long long>(ar->placement_fp),
-                     static_cast<unsigned long long>(lg->history_fp),
-                     static_cast<unsigned long long>(ar->history_fp));
-        ++failures;
-      }
-    }
-    results.push_back(std::move(sr));
-  };
-
-  for (int n : common_sizes) run_size(n, true);
-  for (int n : arena_only_sizes) run_size(n, false);
-
-  // Aggregate gate: place+replicate speedup at the largest common size (the
-  // toggled stages; gen and route run identical code in both configs).
-  const SizeResult& largest = results[common_sizes.size() - 1];
-  const ConfigResult* lbase = find_config(largest, "baseline");
-  const ConfigResult* larena = find_config(largest, "arena");
-  const double speedup = lbase->toggled_seconds() /
-                         std::max(larena->toggled_seconds(), 1e-9);
-  std::printf("largest common size %d: place+replicate %.2fs -> %.2fs (%.2fx)\n",
-              largest.num_logic, lbase->toggled_seconds(),
-              larena->toggled_seconds(), speedup);
-  if (!smoke && speedup < 2.0) {
-    std::fprintf(stderr, "FAIL: aggregate speedup %.2fx < 2x at n=%d\n", speedup,
-                 largest.num_logic);
-    ++failures;
+  for (int n : sizes) {
+    results.push_back(run_size(n, seed));
+    const SizeResult& r = results.back();
+    std::printf(
+        "n=%6d cells=%6zu place=%7.2fs repl=%7.2fs route=%7.2fs "
+        "rss=%5.0f/%5.0f/%5.0f MiB crit=%.4f wl=%lld nl_fp=%016llx\n",
+        n, r.cells, r.place.seconds, r.replicate.seconds, r.route.seconds,
+        r.place.peak_rss / 1048576.0, r.replicate.peak_rss / 1048576.0,
+        r.route.peak_rss / 1048576.0, r.final_critical,
+        static_cast<long long>(r.wirelength),
+        static_cast<unsigned long long>(r.netlist_fp));
+    std::fflush(stdout);
   }
 
-  // Smoke-size values for the CI regression gate (always from the smallest
-  // size, which both full and smoke runs execute).
-  const SizeResult& smallest = results[0];
-  const ConfigResult* sarena = find_config(smallest, "arena");
-  const double smoke_speedup = find_config(smallest, "baseline")->toggled_seconds() /
-                               std::max(sarena->toggled_seconds(), 1e-9);
-  // Peak RSS is machine/allocator-dependent telemetry (DESIGN.md §9), so the
-  // memory gate pins the arena high-water counters instead: deterministic
-  // byte accounting of every arena/scratch allocation in the run.
-  const std::uint64_t smoke_arena = sarena->arena_bytes;
-
-  if (!reference.empty()) {
-    FILE* f = std::fopen(reference.c_str(), "rb");
-    if (!f) {
-      std::fprintf(stderr, "FAIL: cannot read reference %s\n", reference.c_str());
-      ++failures;
-    } else {
-      std::string text;
-      char buf[4096];
-      for (std::size_t got; (got = std::fread(buf, 1, sizeof(buf), f)) > 0;)
-        text.append(buf, got);
-      std::fclose(f);
-      double ref_speedup = 0, ref_arena = 0;
-      if (!json_number_after(text, "smoke_speedup", &ref_speedup) ||
-          !json_number_after(text, "smoke_arena_bytes", &ref_arena)) {
-        std::fprintf(stderr, "FAIL: reference %s lacks smoke_gate fields\n",
-                     reference.c_str());
-        ++failures;
-      } else {
-        // Ratios, not seconds: a slower machine shifts both configs equally.
-        if (smoke_speedup < ref_speedup / 1.1) {
-          std::fprintf(stderr,
-                       "FAIL: smoke speedup %.2fx fell >10%% below committed "
-                       "%.2fx — the arena layout regressed\n",
-                       smoke_speedup, ref_speedup);
-          ++failures;
-        }
-        if (static_cast<double>(smoke_arena) > ref_arena * 1.1) {
-          std::fprintf(stderr,
-                       "FAIL: smoke arena high-water %.1f MiB exceeds "
-                       "committed %.1f MiB by >10%%\n",
-                       smoke_arena / 1048576.0, ref_arena / 1048576.0);
-          ++failures;
-        }
-        std::printf("smoke gate vs %s: speedup %.2fx (committed %.2fx), "
-                    "arena %.1f MiB (committed %.1f MiB)\n",
-                    reference.c_str(), smoke_speedup, ref_speedup,
-                    smoke_arena / 1048576.0, ref_arena / 1048576.0);
-      }
-    }
-  }
+  // The smoke gate always reads the smallest size, which both full and
+  // smoke runs execute.
+  const SizeResult& s = results[0];
+  const int failures = reference.empty() ? 0 : check_reference(s, reference);
 
   FILE* out = std::fopen("BENCH_scale.json", "w");
   if (!out) {
@@ -381,57 +300,52 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(out, "{\n");
-  bench::emit_summary(out, "scale", speedup);
+  bench::emit_summary(out, "scale", NAN);
   std::fprintf(out,
                "  \"benchmark\": \"scale\",\n  \"smoke\": %s,\n"
-               "  \"largest_common_size\": %d,\n"
-               "  \"aggregate_place_replicate_speedup\": %.2f,\n"
-               "  \"smoke_gate\": {\"smoke_speedup\": %.2f, "
-               "\"smoke_arena_bytes\": %llu},\n"
-               "  \"note\": \"baseline = pre-PR layout (flat_scratch=false, "
-               "incremental_bbox=false); results are bit-identical between "
-               "configs; rss/seconds are machine-dependent telemetry, the CI "
-               "gate compares the speedup ratio and deterministic arena "
-               "high-water bytes\",\n  \"sizes\": [\n",
-               smoke ? "true" : "false", largest.num_logic, speedup,
-               smoke_speedup, static_cast<unsigned long long>(smoke_arena));
+               "  \"smoke_gate\": {\"smoke_netlist_fp\": \"%s\", "
+               "\"smoke_placement_fp\": \"%s\", \"smoke_history_fp\": \"%s\", "
+               "\"smoke_wirelength\": %lld, \"smoke_routed_delay_bits\": "
+               "\"%s\", \"smoke_arena_bytes\": %llu},\n"
+               "  \"note\": \"one configuration (the defaults); the gate "
+               "compares the smoke size's fingerprints, wirelength and "
+               "routed-delay bits exactly and its arena high-water bytes "
+               "within 10%%; seconds and rss are machine-dependent "
+               "telemetry\",\n  \"sizes\": [\n",
+               smoke ? "true" : "false", hex(s.netlist_fp).c_str(),
+               hex(s.placement_fp).c_str(), hex(s.history_fp).c_str(),
+               static_cast<long long>(s.wirelength),
+               hex(double_bits(s.routed_delay)).c_str(),
+               static_cast<unsigned long long>(s.arena_bytes));
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const SizeResult& sr = results[i];
-    std::fprintf(out,
-                 "    {\"num_logic\": %d, \"cells\": %zu, "
-                 "\"gen_seconds\": %.3f, \"gen_peak_rss_bytes\": %llu, "
-                 "\"configs\": [\n",
-                 sr.num_logic, sr.cells, sr.gen_seconds,
-                 static_cast<unsigned long long>(sr.gen_peak_rss));
-    for (std::size_t j = 0; j < sr.configs.size(); ++j) {
-      const ConfigResult& c = sr.configs[j];
-      std::fprintf(
-          out,
-          "      {\"config\": \"%s\",\n"
-          "       \"place_seconds\": %.3f, \"replicate_seconds\": %.3f, "
-          "\"route_seconds\": %.3f,\n"
-          "       \"place_peak_rss_bytes\": %llu, "
-          "\"replicate_peak_rss_bytes\": %llu, \"route_peak_rss_bytes\": %llu,\n"
-          "       \"arena_bytes\": %llu, \"scratch_reuses\": %llu, "
-          "\"scratch_growths\": %llu,\n"
-          "       \"final_critical_ns\": %.6f, \"routed_delay_ns\": %.6f, "
-          "\"wirelength\": %lld,\n"
-          "       \"netlist_fp\": \"%016llx\", \"placement_fp\": \"%016llx\", "
-          "\"history_fp\": \"%016llx\"}%s\n",
-          c.config.c_str(), c.place.seconds, c.replicate.seconds,
-          c.route.seconds, static_cast<unsigned long long>(c.place.peak_rss),
-          static_cast<unsigned long long>(c.replicate.peak_rss),
-          static_cast<unsigned long long>(c.route.peak_rss),
-          static_cast<unsigned long long>(c.arena_bytes),
-          static_cast<unsigned long long>(c.scratch_reuses),
-          static_cast<unsigned long long>(c.scratch_growths), c.final_critical,
-          c.routed_delay, static_cast<long long>(c.wirelength),
-          static_cast<unsigned long long>(c.netlist_fp),
-          static_cast<unsigned long long>(c.placement_fp),
-          static_cast<unsigned long long>(c.history_fp),
-          j + 1 < sr.configs.size() ? "," : "");
-    }
-    std::fprintf(out, "    ]}%s\n", i + 1 < results.size() ? "," : "");
+    const SizeResult& r = results[i];
+    std::fprintf(
+        out,
+        "    {\"num_logic\": %d, \"cells\": %zu,\n"
+        "     \"gen_seconds\": %.3f, \"place_seconds\": %.3f, "
+        "\"replicate_seconds\": %.3f, \"route_seconds\": %.3f,\n"
+        "     \"gen_peak_rss_bytes\": %llu, \"place_peak_rss_bytes\": %llu, "
+        "\"replicate_peak_rss_bytes\": %llu, \"route_peak_rss_bytes\": %llu,\n"
+        "     \"arena_bytes\": %llu, \"scratch_reuses\": %llu, "
+        "\"scratch_growths\": %llu,\n"
+        "     \"final_critical_ns\": %.6f, \"routed_delay_ns\": %.6f, "
+        "\"wirelength\": %lld,\n"
+        "     \"netlist_fp\": \"%016llx\", \"placement_fp\": \"%016llx\", "
+        "\"history_fp\": \"%016llx\"}%s\n",
+        r.num_logic, r.cells, r.gen.seconds, r.place.seconds,
+        r.replicate.seconds, r.route.seconds,
+        static_cast<unsigned long long>(r.gen.peak_rss),
+        static_cast<unsigned long long>(r.place.peak_rss),
+        static_cast<unsigned long long>(r.replicate.peak_rss),
+        static_cast<unsigned long long>(r.route.peak_rss),
+        static_cast<unsigned long long>(r.arena_bytes),
+        static_cast<unsigned long long>(r.scratch_reuses),
+        static_cast<unsigned long long>(r.scratch_growths), r.final_critical,
+        r.routed_delay, static_cast<long long>(r.wirelength),
+        static_cast<unsigned long long>(r.netlist_fp),
+        static_cast<unsigned long long>(r.placement_fp),
+        static_cast<unsigned long long>(r.history_fp),
+        i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

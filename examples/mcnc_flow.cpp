@@ -10,7 +10,6 @@
 // Respects REPRO_SCALE (default 0.25).
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "flow/experiment.h"
@@ -25,9 +24,7 @@ int main(int argc, char** argv) {
   const char* name = argc > 1 ? argv[1] : "apex2";
   const char* variant_arg = argc > 2 ? argv[2] : "lex3";
 
-  const McncCircuit* circuit = nullptr;
-  for (const McncCircuit& c : mcnc_suite())
-    if (std::strcmp(c.name, name) == 0) circuit = &c;
+  const McncCircuit* circuit = find_mcnc_circuit(name);
   if (!circuit) {
     std::printf("unknown circuit '%s'; available:", name);
     for (const McncCircuit& c : mcnc_suite()) std::printf(" %s", c.name);
@@ -35,14 +32,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  EmbedVariant variant = EmbedVariant::kLex3;
-  if (!std::strcmp(variant_arg, "rt")) variant = EmbedVariant::kRtEmbedding;
-  else if (!std::strcmp(variant_arg, "lex2")) variant = EmbedVariant::kLex2;
-  else if (!std::strcmp(variant_arg, "lex3")) variant = EmbedVariant::kLex3;
-  else if (!std::strcmp(variant_arg, "lex4")) variant = EmbedVariant::kLex4;
-  else if (!std::strcmp(variant_arg, "lex5")) variant = EmbedVariant::kLex5;
-  else if (!std::strcmp(variant_arg, "mc")) variant = EmbedVariant::kLexMc;
-  else {
+  EmbedVariant variant;
+  if (!parse_variant(variant_arg, &variant)) {
     std::printf("unknown variant '%s' (use rt|lex2|lex3|lex4|lex5|mc)\n",
                 variant_arg);
     return 2;

@@ -15,10 +15,6 @@
 namespace repro {
 namespace {
 
-bool valid_fault_stage(const std::string& s) {
-  return s == "place" || s == "replicate" || s == "route";
-}
-
 /// Stage-boundary checkpoints are named by the stage that just completed.
 const char* checkpoint_stage_name(FlowStage s) {
   switch (s) {
@@ -286,7 +282,7 @@ bool parse_fault_plan(const std::string& spec, FaultPlan* out,
         s = v.substr(0, colon);
         if (!parse_count(v.substr(colon + 1), nth)) return false;
       }
-      if (!valid_fault_stage(s)) {
+      if (s.empty() || !stage_name_valid(s)) {
         *err = "fault hook '" + name + "' needs place|replicate|route, got '" +
                s + "'";
         return false;

@@ -8,67 +8,11 @@
 #include "place/placer.h"
 #include "replicate/engine.h"
 #include "serve/jsonl.h"
+#include "serve/snapshot.h"
 #include "util/rng.h"
 
 namespace repro {
 namespace {
-
-bool filename_safe(const std::string& id) {
-  if (id.empty() || id.size() > 128) return false;
-  for (char c : id) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '-' || c == '_' || c == '.';
-    if (!ok) return false;
-  }
-  return true;
-}
-
-const McncCircuit* find_circuit(const std::string& name) {
-  for (const McncCircuit& m : mcnc_suite())
-    if (name == m.name) return &m;
-  return nullptr;
-}
-
-bool variant_from_name(const std::string& name, EmbedVariant* out) {
-  if (name == "rt") *out = EmbedVariant::kRtEmbedding;
-  else if (name == "lex2") *out = EmbedVariant::kLex2;
-  else if (name == "lex3") *out = EmbedVariant::kLex3;
-  else if (name == "lex4") *out = EmbedVariant::kLex4;
-  else if (name == "lex5") *out = EmbedVariant::kLex5;
-  else if (name == "mc") *out = EmbedVariant::kLexMc;
-  else return false;
-  return true;
-}
-
-void write_file_atomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (!f) throw EcoError("eco session: cannot open " + tmp + " for writing");
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != bytes.size() || !flushed) {
-    std::remove(tmp.c_str());
-    throw EcoError("eco session: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw EcoError("eco session: cannot rename " + tmp + " to " + path);
-  }
-}
-
-std::string read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw EcoError("eco session: cannot open " + path);
-  std::string bytes;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
-  const bool read_err = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_err) throw EcoError("eco session: read error on " + path);
-  return bytes;
-}
 
 /// The deterministic per-op fields every successful result line carries.
 void counter_fields(JsonlWriter& w, const EcoDeltaResult& res) {
@@ -224,7 +168,10 @@ std::string SessionManager::handle_open(const SessionOp& op) {
       std::filesystem::exists(std::filesystem::path(path))) {
     // A persisted file under this id wins over the spec on the line: the
     // stream is continuing a session an earlier server run left behind.
-    s = EcoSession::resume(read_file(path), sopt);
+    std::string bytes;
+    if (!read_file(path, &bytes))
+      throw EcoError("eco session: cannot open " + path);
+    s = EcoSession::resume(bytes, sopt);
     resumed = true;
   } else if (!op.from_checkpoint.empty()) {
     s = std::make_unique<EcoSession>(op.session,
@@ -234,10 +181,10 @@ std::string SessionManager::handle_open(const SessionOp& op) {
     // Fresh flow run: generate -> place -> (optionally) replicate, the same
     // recipe and RNG discipline as a batch job, so a session opened on
     // (circuit, scale, seed, placer, variant) is deterministic.
-    const McncCircuit* c = find_circuit(op.circuit);
+    const McncCircuit* c = find_mcnc_circuit(op.circuit);
     if (!c) throw EcoError("unknown circuit '" + op.circuit + "'");
     EmbedVariant variant = EmbedVariant::kRtEmbedding;
-    if (op.variant != "none" && !variant_from_name(op.variant, &variant))
+    if (op.variant != "none" && !parse_variant(op.variant, &variant))
       throw EcoError("unknown variant '" + op.variant + "'");
     FlowConfig cfg = opt_.base;
     if (op.scale > 0) cfg.scale = op.scale;

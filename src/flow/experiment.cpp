@@ -66,12 +66,6 @@ FlowConfig config_from_env() {
       LOG_WARN() << "REPRO_PLACER=" << v << " not one of annealer|analytic|hybrid; "
                  << "placer stays " << placer_backend_name(cfg.placer);
   }
-  if (const char* v = std::getenv("REPRO_ROUTE_ASTAR"))
-    cfg.router.use_astar = v[0] != '0';
-  if (const char* v = std::getenv("REPRO_ROUTE_INCREMENTAL"))
-    cfg.router.incremental_reroute = v[0] != '0';
-  if (const char* v = std::getenv("REPRO_ROUTE_WARM"))
-    cfg.router.warm_start_wmin = v[0] != '0';
   return cfg;
 }
 

@@ -44,19 +44,18 @@ struct FlowConfig {
   /// Results are bit-identical for every value. Override with REPRO_THREADS.
   int num_threads = 0;
   /// Invariant auditing after prepare_circuit and around evaluate_routed
-  /// (src/audit). Audits are read-only and never change results; like
-  /// num_threads this is a process-local knob, NOT serialized into
-  /// snapshots. Override with REPRO_AUDIT. Throws AuditError on a violation.
+  /// (src/audit). Audits are read-only and never change results; this is a
+  /// process-local knob, NOT serialized into snapshots (num_threads is
+  /// serialized, but a resumed run replaces it with its own). Override with
+  /// REPRO_AUDIT. Throws AuditError on a violation.
   AuditLevel audit = AuditLevel::kOff;
 };
 
-/// Reads REPRO_SCALE / REPRO_QUICK / REPRO_THREADS environment variables so
-/// the bench binaries can be re-run at other scales without rebuilding.
-/// Router fast-path knobs: REPRO_ROUTE_ASTAR / REPRO_ROUTE_INCREMENTAL /
-/// REPRO_ROUTE_WARM (each 0 or 1) toggle RouterOptions::use_astar /
-/// incremental_reroute / warm_start_wmin. Malformed values (trailing
-/// garbage, non-finite, out of range) fall back to the defaults — a bad
-/// knob must never abort or zero a batch.
+/// Reads REPRO_SCALE / REPRO_QUICK / REPRO_THREADS / REPRO_AUDIT /
+/// REPRO_PLACER environment variables so the bench binaries can be re-run at
+/// other scales without rebuilding. Malformed values (trailing garbage,
+/// non-finite, out of range) fall back to the defaults — a bad knob must
+/// never abort or zero a batch.
 FlowConfig config_from_env();
 
 /// Validated env parsing shared with the serve layer: returns `fallback`

@@ -243,6 +243,12 @@ const std::vector<McncCircuit>& mcnc_suite() {
   return kSuite;
 }
 
+const McncCircuit* find_mcnc_circuit(std::string_view name) {
+  for (const McncCircuit& m : mcnc_suite())
+    if (name == m.name) return &m;
+  return nullptr;
+}
+
 CircuitSpec spec_for(const McncCircuit& c, double scale, std::uint64_t seed) {
   CircuitSpec spec;
   spec.name = c.name;

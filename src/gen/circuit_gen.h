@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -64,6 +65,9 @@ struct McncCircuit {
 
 /// The Table I suite, in the paper's order (ex5p .. clma).
 const std::vector<McncCircuit>& mcnc_suite();
+
+/// The suite entry called `name`, or nullptr if there is none.
+const McncCircuit* find_mcnc_circuit(std::string_view name);
 
 /// Builds the CircuitSpec for one suite entry scaled by `scale` (block counts
 /// multiplied by scale; a scale of 1.0 reproduces Table I sizes).

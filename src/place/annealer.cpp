@@ -240,11 +240,11 @@ class AnnealState {
         dw += wl - net_wl_[n.index()];
       }
     } else {
-      // Pre-PR layout, kept as the baseline configuration of
-      // bench/microbench_scale: the original annealer recomputed each
-      // touched net's bbox from a materialized terminal list, paying one
-      // vector allocation per touched net per proposal. Bit-identical to
-      // the incremental path (same bbox, same estimate).
+      // Original layout, kept as the test oracle of the FlatVsLegacy anneal
+      // tests: the original annealer recomputed each touched net's bbox
+      // from a materialized terminal list, paying one vector allocation per
+      // touched net per proposal. Bit-identical to the incremental path
+      // (same bbox, same estimate).
       for (NetId n : touched_nets) {
         const Net& net = nl_.net(n);
         double wl = 0.0;

@@ -34,7 +34,8 @@ struct AnnealerOptions {
   /// recomputing every touched net's bbox from its terminal list per move.
   /// Bit-identical either way — the maintained Rect is exactly the terminal
   /// bbox, so estimate_wirelength sees the same inputs. false selects the
-  /// recompute path, kept as the baseline of bench/microbench_scale.
+  /// recompute path, kept as the test oracle of the FlatVsLegacy anneal
+  /// tests.
   bool incremental_bbox = true;
   std::uint64_t seed = 1;
   /// Cooperative cancellation (flow service stage timeouts): checked once

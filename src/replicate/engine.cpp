@@ -40,6 +40,17 @@ const char* variant_name(EmbedVariant v) {
   return "?";
 }
 
+bool parse_variant(std::string_view name, EmbedVariant* out) {
+  if (name == "rt") *out = EmbedVariant::kRtEmbedding;
+  else if (name == "lex2") *out = EmbedVariant::kLex2;
+  else if (name == "lex3") *out = EmbedVariant::kLex3;
+  else if (name == "lex4") *out = EmbedVariant::kLex4;
+  else if (name == "lex5") *out = EmbedVariant::kLex5;
+  else if (name == "mc") *out = EmbedVariant::kLexMc;
+  else return false;
+  return true;
+}
+
 namespace {
 
 EmbedOptions embed_options_for(const EngineOptions& opt) {
@@ -141,8 +152,7 @@ IterationOutcome compute_iteration(const Netlist& nl, const Placement& pl,
   IterationOutcome out;
   const double crit = tg.critical_delay();
 
-  Spt spt = opt.flat_scratch ? extract_eps_spt(tg, ip.sink, ip.epsilon)
-                             : extract_eps_spt_legacy(tg, ip.sink, ip.epsilon);
+  Spt spt = extract_eps_spt(tg, ip.sink, ip.epsilon);
   ReplicationTree rt = build_replication_tree(tg, spt);
   out.tree_internal = rt.num_internal();
   if (rt.num_internal() == 0) {
@@ -360,8 +370,7 @@ EngineResult run_replication_engine(Netlist& nl, Placement& pl,
   {
     const TimingGraph& tg = eng.graph();
     res.initial_critical = tg.critical_delay();
-    lower_bound = opt.flat_scratch ? monotone_lower_bound(tg)
-                                   : monotone_lower_bound_legacy(tg);
+    lower_bound = monotone_lower_bound(tg);
     best.take(nl, pl, res.initial_critical);
   }
   res.lower_bound = lower_bound;
@@ -563,8 +572,7 @@ EngineResult run_replication_engine(Netlist& nl, Placement& pl,
 
     if (ff_relocation) {
       // The register moved; the monotone bound must be refreshed.
-      lower_bound = opt.flat_scratch ? monotone_lower_bound(eng.updated())
-                                     : monotone_lower_bound_legacy(eng.updated());
+      lower_bound = monotone_lower_bound(eng.updated());
       res.lower_bound = std::min(res.lower_bound, lower_bound);
     }
     assert(nl.validate().empty());

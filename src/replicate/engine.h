@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/delay_model.h"
@@ -23,6 +24,11 @@ enum class EmbedVariant {
 };
 
 const char* variant_name(EmbedVariant v);
+
+/// Parses the short variant names used on command lines and in job specs
+/// (rt|lex2|lex3|lex4|lex5|mc). Returns false and leaves `out` untouched on
+/// any other name.
+bool parse_variant(std::string_view name, EmbedVariant* out);
 
 struct EngineOptions {
   EmbedVariant variant = EmbedVariant::kRtEmbedding;
@@ -83,11 +89,6 @@ struct EngineOptions {
   bool aggressive_unification = true;  ///< Section V-C / VII-B strategy
   bool enable_ff_relocation = true;    ///< Section V-D
 
-  /// Use the generation-stamped arena implementations of SPT extraction and
-  /// the monotone lower bound (DESIGN.md §9). false selects the legacy
-  /// unordered_map code paths — bit-identical results, allocation churn per
-  /// call — kept as the baseline configuration of bench/microbench_scale.
-  bool flat_scratch = true;
   LegalizerOptions legalizer;
 
   /// Threads for the embedder's join columns (0 = hardware concurrency,

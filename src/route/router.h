@@ -24,6 +24,12 @@ struct RouterOptions {
   /// History cost increment for overused edges.
   double history_increment = 1.0;
 
+  // The three fast-path switches below (use_astar, incremental_reroute,
+  // warm_start_wmin) stay on in every production flow. false selects the
+  // conservative path, kept as the test oracle of the Router.*Matches* tests
+  // and RouterSweep.WminAgreesAcrossSearchModes and as a microbench_router
+  // config. Snapshots serialize all three.
+
   /// A* directed expansion: add an admissible lookahead (per-step lower-bound
   /// cost x Manhattan distance to the sink) to the maze search priority. With
   /// astar_factor == 1.0 the lookahead is admissible and consistent, so path

@@ -28,46 +28,20 @@ double now_seconds() {
   return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
 }
 
-bool variant_from_name(const std::string& name, EmbedVariant* out) {
-  if (name == "rt") *out = EmbedVariant::kRtEmbedding;
-  else if (name == "lex2") *out = EmbedVariant::kLex2;
-  else if (name == "lex3") *out = EmbedVariant::kLex3;
-  else if (name == "lex4") *out = EmbedVariant::kLex4;
-  else if (name == "lex5") *out = EmbedVariant::kLex5;
-  else if (name == "mc") *out = EmbedVariant::kLexMc;
-  else return false;
-  return true;
-}
-
-bool filename_safe(const std::string& id) {
-  if (id.empty() || id.size() > 128) return false;
-  for (char c : id) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '-' || c == '_' || c == '.';
-    if (!ok) return false;
-  }
-  return true;
-}
-
-const McncCircuit* find_circuit(const std::string& name) {
-  for (const McncCircuit& m : mcnc_suite())
-    if (name == m.name) return &m;
-  return nullptr;
-}
+}  // namespace
 
 bool stage_name_valid(const std::string& s) {
   return s.empty() || s == "place" || s == "replicate" || s == "route";
 }
 
-}  // namespace
-
 std::string validate_job_spec(const JobSpec& spec) {
   if (!filename_safe(spec.id))
     return "id must be a non-empty filename-safe string ([A-Za-z0-9._-])";
-  if (!find_circuit(spec.circuit)) return "unknown circuit '" + spec.circuit + "'";
+  if (!find_mcnc_circuit(spec.circuit))
+    return "unknown circuit '" + spec.circuit + "'";
   if (!(spec.scale > 0)) return "scale must be > 0";
   EmbedVariant v;
-  if (spec.variant != "none" && !variant_from_name(spec.variant, &v))
+  if (spec.variant != "none" && !parse_variant(spec.variant, &v))
     return "unknown variant '" + spec.variant + "'";
   PlacerBackend pb;
   if (!spec.placer.empty() && !parse_placer_backend(spec.placer, &pb))
@@ -402,7 +376,7 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
   std::unique_ptr<Netlist> golden;
   auto ensure_golden = [&]() {
     if (golden) return;
-    const McncCircuit* c = find_circuit(spec.circuit);
+    const McncCircuit* c = find_mcnc_circuit(spec.circuit);
     golden = std::make_unique<Netlist>(
         generate_circuit(spec_for(*c, cfg.scale, cfg.seed)));
   };
@@ -457,7 +431,7 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
     maybe_inject(spec, "place", token);
     reset_peak_rss();
     const double t0 = now_seconds();
-    const McncCircuit* c = find_circuit(spec.circuit);
+    const McncCircuit* c = find_mcnc_circuit(spec.circuit);
     snap.nl = std::make_unique<Netlist>(
         generate_circuit(spec_for(*c, cfg.scale, cfg.seed)));
     snap.grid_n = FpgaGrid::min_grid_for(
@@ -503,7 +477,7 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
       if (cfg.audit != AuditLevel::kOff)
         golden = std::make_unique<Netlist>(*snap.nl);
       EngineOptions eopt;
-      variant_from_name(spec.variant, &eopt.variant);
+      parse_variant(spec.variant, &eopt.variant);
       eopt.num_threads = cfg.num_threads;
       eopt.cancel = &token;
       EngineResult r =

@@ -65,6 +65,10 @@ struct ServiceStats {
   std::string summary() const;  ///< one human-readable line
 };
 
+/// True for "" (no stage) and for the stage names place|replicate|route
+/// that fault-injection hooks accept.
+bool stage_name_valid(const std::string& s);
+
 /// "" = valid, else the reason a spec is rejected before scheduling.
 std::string validate_job_spec(const JobSpec& spec);
 

@@ -151,8 +151,10 @@ namespace {
 void save_config(const FlowConfig& cfg, ByteWriter& w) {
   w.f64(cfg.scale);
   // Placement backend + analytic knobs (format v2). Everything that affects
-  // the deterministic trajectory is serialized; num_threads and the cancel
-  // pointer are process-local (thread count never changes results).
+  // the deterministic trajectory is serialized. num_threads is written too
+  // (last field) although it never changes results: run_flow_attempt
+  // overwrites it on resume and normalize_base pins it to 1 in ECO bases.
+  // The cancel pointers and the audit level are process-local, not written.
   w.u8(static_cast<std::uint8_t>(cfg.placer));
   const AnalyticPlacerOptions& ap = cfg.analytic;
   w.i32(ap.max_iterations);
@@ -454,6 +456,16 @@ bool read_file(const std::string& path, std::string* bytes) {
   std::fclose(f);
   if (read_err) bytes->clear();
   return !read_err;
+}
+
+bool filename_safe(const std::string& id) {
+  if (id.empty() || id.size() > 128) return false;
+  for (char c : id) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '-' || c == '_' || c == '.';
+    if (!ok) return false;
+  }
+  return true;
 }
 
 void write_snapshot_file(const FlowSnapshot& s, const std::string& path) {

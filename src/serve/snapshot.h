@@ -133,4 +133,8 @@ FlowSnapshot read_snapshot_file(const std::string& path);
 void write_file_atomic(const std::string& path, std::string_view bytes);
 bool read_file(const std::string& path, std::string* bytes);
 
+/// True when `id` is 1..128 characters of [A-Za-z0-9._-]: safe to use as a
+/// file name under a checkpoint or sessions directory.
+bool filename_safe(const std::string& id);
+
 }  // namespace repro

@@ -38,8 +38,7 @@ double monotone_lower_bound_for_sink(const TimingGraph& tg, TimingNodeId sink);
 /// Pre-arena reference implementations (unordered_map working state, one
 /// allocation set per sink). The arena versions above are bit-identical —
 /// the per-sink maximum is evaluated with the same expression on the same
-/// term set — and these are kept for the scale bench's baseline
-/// configuration and as differential-testing oracles.
+/// term set. Test oracles only (FlatVsLegacy.MonotoneBoundIdentical).
 double monotone_lower_bound_legacy(const TimingGraph& tg);
 double monotone_lower_bound_for_sink_legacy(const TimingGraph& tg, TimingNodeId sink);
 

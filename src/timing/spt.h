@@ -92,8 +92,9 @@ struct Spt {
 Spt extract_eps_spt(const TimingGraph& tg, TimingNodeId root, double eps);
 
 /// The pre-arena reference implementation (unordered_map working state,
-/// allocating per call). Kept as the baseline configuration of
-/// bench/microbench_scale and as the differential-testing oracle.
+/// allocating per call). Test oracle only: SptFixture.
+/// LegacyExtractionIsIdentical and FlatVsLegacy.EpsSptIdentical compare the
+/// arena version against it.
 Spt extract_eps_spt_legacy(const TimingGraph& tg, TimingNodeId root, double eps);
 
 }  // namespace repro

@@ -21,12 +21,6 @@
 namespace repro {
 namespace {
 
-const McncCircuit& circuit_named(const char* name) {
-  for (const McncCircuit& m : mcnc_suite())
-    if (m.name == std::string(name)) return m;
-  throw std::runtime_error(std::string("no such circuit: ") + name);
-}
-
 FlowConfig small_cfg(std::uint64_t seed) {
   FlowConfig cfg;
   cfg.scale = 0.05;
@@ -150,7 +144,7 @@ TEST(AuditReport, RequireCleanThrowsStructuredError) {
 
 TEST(Auditor, UnmutatedPreparedCircuitIsCleanAtParanoid) {
   const FlowConfig cfg = small_cfg(3);
-  PlacedCircuit p = prepare_circuit(circuit_named("tseng"), cfg);
+  PlacedCircuit p = prepare_circuit(*find_mcnc_circuit("tseng"), cfg);
   AuditOptions opt;
   opt.level = AuditLevel::kParanoid;
   opt.seed = cfg.seed;
@@ -166,7 +160,7 @@ TEST(Auditor, UnmutatedPreparedCircuitIsCleanAtParanoid) {
 
 TEST(Auditor, CatchesFlippedTruthTableBit) {
   const FlowConfig cfg = small_cfg(3);
-  PlacedCircuit p = prepare_circuit(circuit_named("tseng"), cfg);
+  PlacedCircuit p = prepare_circuit(*find_mcnc_circuit("tseng"), cfg);
   const Netlist golden = *p.nl;
 
   const CellId mutated = AuditFaultInjector::corrupt_function_bit(*p.nl, 17);
@@ -193,7 +187,7 @@ TEST(Auditor, CatchesFlippedTruthTableBit) {
 
 TEST(Auditor, CatchesOccupantListCorruption) {
   const FlowConfig cfg = small_cfg(5);
-  PlacedCircuit p = prepare_circuit(circuit_named("tseng"), cfg);
+  PlacedCircuit p = prepare_circuit(*find_mcnc_circuit("tseng"), cfg);
 
   const CellId mutated = AuditFaultInjector::corrupt_occupant_entry(*p.pl, 23);
   ASSERT_TRUE(mutated.valid());
@@ -223,7 +217,7 @@ TEST(Auditor, CatchesOccupantListCorruption) {
 
 TEST(Auditor, CatchesDroppedRouteEdge) {
   const FlowConfig cfg = small_cfg(7);
-  PlacedCircuit p = prepare_circuit(circuit_named("tseng"), cfg);
+  PlacedCircuit p = prepare_circuit(*find_mcnc_circuit("tseng"), cfg);
   RouterOptions ropt;  // infinite resources; deterministic
   RoutingResult routing = route(*p.nl, *p.pl, ropt);
   ASSERT_TRUE(routing.success);

@@ -83,31 +83,6 @@ TEST(FlowConfig, ThreadsOverrideAndInvalidFallback) {
   }
 }
 
-TEST(FlowConfig, RouterFastPathKnobs) {
-  EnvGuard g1("REPRO_ROUTE_ASTAR");
-  EnvGuard g2("REPRO_ROUTE_INCREMENTAL");
-  EnvGuard g3("REPRO_ROUTE_WARM");
-  unsetenv("REPRO_ROUTE_ASTAR");
-  unsetenv("REPRO_ROUTE_INCREMENTAL");
-  unsetenv("REPRO_ROUTE_WARM");
-
-  setenv("REPRO_ROUTE_ASTAR", "0", 1);
-  setenv("REPRO_ROUTE_INCREMENTAL", "0", 1);
-  setenv("REPRO_ROUTE_WARM", "0", 1);
-  FlowConfig off = config_from_env();
-  EXPECT_FALSE(off.router.use_astar);
-  EXPECT_FALSE(off.router.incremental_reroute);
-  EXPECT_FALSE(off.router.warm_start_wmin);
-
-  setenv("REPRO_ROUTE_ASTAR", "1", 1);
-  setenv("REPRO_ROUTE_INCREMENTAL", "1", 1);
-  setenv("REPRO_ROUTE_WARM", "1", 1);
-  FlowConfig on = config_from_env();
-  EXPECT_TRUE(on.router.use_astar);
-  EXPECT_TRUE(on.router.incremental_reroute);
-  EXPECT_TRUE(on.router.warm_start_wmin);
-}
-
 TEST(FlowConfig, PlacerBackendOverride) {
   EnvGuard g1("REPRO_PLACER");
   setenv("REPRO_PLACER", "analytic", 1);

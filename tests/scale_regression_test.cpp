@@ -268,7 +268,7 @@ TEST(FlatVsLegacy, WirelengthDrivenAnnealIdentical) {
   EXPECT_EQ(placement_fingerprint(a.nl, a.pl), placement_fingerprint(b.nl, b.pl));
 }
 
-// ---- engine: layout and thread-count invariance --------------------------
+// ---- engine: thread-count invariance ---------------------------------------
 
 TEST(FlatVsLegacy, EngineTrajectoryIdenticalAcrossLayoutAndThreads) {
   EngineOptions base;
@@ -279,10 +279,9 @@ TEST(FlatVsLegacy, EngineTrajectoryIdenticalAcrossLayoutAndThreads) {
   struct Run {
     std::uint64_t hist, nl_fp, pl_fp, truncations;
   };
-  auto run = [&](bool flat, int threads, int region_points) {
+  auto run = [&](int threads, int region_points) {
     Placed p("ex5p", 0.08, golden_annealer_options());
     EngineOptions eopt = base;
-    eopt.flat_scratch = flat;
     eopt.num_threads = threads;
     eopt.max_region_points = region_points;
     EngineResult r = run_replication_engine(p.nl, p.pl, p.dm, eopt);
@@ -290,34 +289,29 @@ TEST(FlatVsLegacy, EngineTrajectoryIdenticalAcrossLayoutAndThreads) {
                placement_fingerprint(p.nl, p.pl), r.region_truncations};
   };
 
-  const Run ref = run(true, 1, 0);
+  const Run ref = run(1, 0);
   EXPECT_EQ(ref.truncations, 0u);  // guard off => counter stays silent
-  for (bool flat : {true, false}) {
-    for (int threads : {1, 2, 4}) {
-      Run o = run(flat, threads, 0);
-      EXPECT_EQ(o.hist, ref.hist) << "flat " << flat << " threads " << threads;
-      EXPECT_EQ(o.nl_fp, ref.nl_fp) << "flat " << flat << " threads " << threads;
-      EXPECT_EQ(o.pl_fp, ref.pl_fp) << "flat " << flat << " threads " << threads;
-    }
+  for (int threads : {1, 2, 4}) {
+    Run o = run(threads, 0);
+    EXPECT_EQ(o.hist, ref.hist) << "threads " << threads;
+    EXPECT_EQ(o.nl_fp, ref.nl_fp) << "threads " << threads;
+    EXPECT_EQ(o.pl_fp, ref.pl_fp) << "threads " << threads;
   }
 
   // The region guard changes which embeddings run (legitimately different
-  // results from uncapped), but must itself be deterministic across layouts
-  // and thread counts.
+  // results from uncapped), but must itself be deterministic across thread
+  // counts.
   // The cap must sit below the die's point count (ex5p at this scale is a
   // ~12x12 grid, ~144 sites) or the guard never fires; 48 points forces
   // truncation on any region spanning more than a ~7x7 window, which the
   // consumed trajectory is guaranteed to contain.
-  const Run guarded = run(true, 1, 48);
+  const Run guarded = run(1, 48);
   EXPECT_GT(guarded.truncations, 0u);
-  for (bool flat : {true, false}) {
-    for (int threads : {1, 4}) {
-      Run o = run(flat, threads, 48);
-      EXPECT_EQ(o.hist, guarded.hist) << "flat " << flat << " threads " << threads;
-      EXPECT_EQ(o.nl_fp, guarded.nl_fp) << "flat " << flat << " threads " << threads;
-      EXPECT_EQ(o.truncations, guarded.truncations)
-          << "flat " << flat << " threads " << threads;
-    }
+  for (int threads : {1, 4}) {
+    Run o = run(threads, 48);
+    EXPECT_EQ(o.hist, guarded.hist) << "threads " << threads;
+    EXPECT_EQ(o.nl_fp, guarded.nl_fp) << "threads " << threads;
+    EXPECT_EQ(o.truncations, guarded.truncations) << "threads " << threads;
   }
 }
 

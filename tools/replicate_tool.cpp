@@ -48,10 +48,6 @@ struct Args {
   std::string out_place;
   std::string svg;
   bool do_route = false;
-  // Router fast-path knobs (-1 = keep the FlowConfig/env default).
-  int route_astar = -1;
-  int route_incremental = -1;
-  int route_warm = -1;
   std::string audit;  // "" = leave to REPRO_AUDIT / config default
   std::string eco;    // session-op JSONL file to replay offline
   bool verbose = false;
@@ -72,9 +68,6 @@ int usage() {
       "  --threads N        embedder join threads (0 = hardware, 1 = serial;\n"
       "                     results are identical for every value)\n"
       "  --route            evaluate routed W_inf / W_ls critical paths\n"
-      "  --route-astar 0|1        A* lookahead in the maze router (default 1)\n"
-      "  --route-incremental 0|1  rip up only illegal nets per pass (default 1)\n"
-      "  --route-warm 0|1         warm-started W_min binary search (default 1)\n"
       "  --audit LEVEL      invariant auditing after place/replicate/route:\n"
       "                     off | stage | paranoid (default off, or\n"
       "                     REPRO_AUDIT); exit 3 on an audit failure\n"
@@ -127,15 +120,6 @@ bool parse_args(int argc, char** argv, Args& a) {
       a.threads = std::atoi(v);
     } else if (!std::strcmp(arg, "--route")) {
       a.do_route = true;
-    } else if (!std::strcmp(arg, "--route-astar")) {
-      if (!(v = need(arg))) return false;
-      a.route_astar = std::atoi(v);
-    } else if (!std::strcmp(arg, "--route-incremental")) {
-      if (!(v = need(arg))) return false;
-      a.route_incremental = std::atoi(v);
-    } else if (!std::strcmp(arg, "--route-warm")) {
-      if (!(v = need(arg))) return false;
-      a.route_warm = std::atoi(v);
     } else if (!std::strcmp(arg, "--audit")) {
       if (!(v = need(arg))) return false;
       a.audit = v;
@@ -194,10 +178,6 @@ int run(const Args& args) {
   FlowConfig cfg = config_from_env();
   cfg.scale = args.scale;
   cfg.seed = args.seed;
-  if (args.route_astar >= 0) cfg.router.use_astar = args.route_astar != 0;
-  if (args.route_incremental >= 0)
-    cfg.router.incremental_reroute = args.route_incremental != 0;
-  if (args.route_warm >= 0) cfg.router.warm_start_wmin = args.route_warm != 0;
   if (!args.placer.empty() && !parse_placer_backend(args.placer, &cfg.placer)) {
     std::fprintf(stderr, "replicate_tool: bad --placer backend '%s'\n",
                  args.placer.c_str());
@@ -252,9 +232,7 @@ int run(const Args& args) {
       return 2;
     }
   } else {
-    const McncCircuit* c = nullptr;
-    for (const McncCircuit& m : mcnc_suite())
-      if (args.circuit == m.name) c = &m;
+    const McncCircuit* c = find_mcnc_circuit(args.circuit);
     if (!c) {
       std::fprintf(stderr, "replicate_tool: unknown circuit '%s'\n",
                    args.circuit.c_str());
@@ -315,13 +293,7 @@ int run(const Args& args) {
                 r.initial_critical, r.final_critical, r.replications);
   } else if (args.variant != "none") {
     EngineOptions opt;
-    if (args.variant == "rt") opt.variant = EmbedVariant::kRtEmbedding;
-    else if (args.variant == "lex2") opt.variant = EmbedVariant::kLex2;
-    else if (args.variant == "lex3") opt.variant = EmbedVariant::kLex3;
-    else if (args.variant == "lex4") opt.variant = EmbedVariant::kLex4;
-    else if (args.variant == "lex5") opt.variant = EmbedVariant::kLex5;
-    else if (args.variant == "mc") opt.variant = EmbedVariant::kLexMc;
-    else return usage();
+    if (!parse_variant(args.variant, &opt.variant)) return usage();
     opt.num_threads = args.threads > 0 ? args.threads : cfg.num_threads;
     EngineResult r = run_replication_engine(*nl, *pl, cfg.delay, opt);
     std::printf("%s: %.2f -> %.2f ns over %zu iterations "
