@@ -34,14 +34,16 @@ struct LinearDelayModel {
   double wire_delay(Point a, Point b) const { return wire_delay(manhattan(a, b)); }
 };
 
-/// Elmore RC parameters for the 3-D (cost, upstream-resistance, arrival)
-/// embedder variant of Section II-D, intended for ASIC-style targets.
+/// Elmore RC parameters for the upstream-resistance variant of Section II-D,
+/// intended for ASIC-style targets. It runs through the one fanin-tree
+/// embedder as a stem-delay function (docs/ALGORITHMS.md §2): set
+/// EmbedOptions::stem_delay to wire_delay and add pin_load() to every gate's
+/// delay.
 struct ElmoreDelayModel {
   double r_per_unit = 0.1;   ///< wire resistance per unit length
   double c_per_unit = 0.2;   ///< wire capacitance per unit length
   double r_out = 1.0;        ///< driver output resistance
   double c_in = 0.05;        ///< gate input capacitance
-  double gate_delay = 0.5;   ///< intrinsic gate delay
 
   /// Paper Section II-D: d_uv = c_uv * (R(u) + r_uv / 2), where R(u) is the
   /// cumulative upstream resistance including the driving gate's output
@@ -51,6 +53,17 @@ struct ElmoreDelayModel {
     const double c_uv = c_per_unit * length;
     return c_uv * (upstream_r + r_uv / 2.0);
   }
+
+  /// Delay of an unbranched run of `length` units from a driver, plus the
+  /// receiving pin's load charged through the run's resistance. Here
+  /// R(u) = r_out + r * stem, so wire_delay(s + l) - wire_delay(s) is the
+  /// paper's sum of d_uv over the next l units, plus c_in * r * l.
+  double wire_delay(int length) const {
+    return segment_delay(r_out, length) + c_in * r_per_unit * length;
+  }
+  /// The constant part of the pin load, c_in * r_out: the caller adds it to
+  /// each gate's delay.
+  double pin_load() const { return c_in * r_out; }
 };
 
 }  // namespace repro

@@ -267,9 +267,9 @@ void apply_structural(Netlist& nl, Placement& pl, LinearDelayModel& dm,
 
 /// Normalization shared by open and (as a validity check) resume: the
 /// serialized base must be a pure function of circuit state + deterministic
-/// config, so volatile fields (wall clock, metrics, thread count) are
-/// zeroed. Chain checksums — and with them the result cache — are then
-/// shareable across servers, runs and thread counts.
+/// config, so volatile fields (wall clock, metrics, thread count, audit
+/// count) are zeroed. Chain checksums — and with them the result cache —
+/// are then shareable across servers, runs, thread counts and audit levels.
 void normalize_base(FlowSnapshot& s) {
   if (!s.nl || !s.grid || !s.pl || s.stage < FlowStage::kPlaced)
     throw EcoError("session base must contain a placed circuit");
@@ -289,6 +289,9 @@ void normalize_base(FlowSnapshot& s) {
   s.has_metrics = false;
   s.metrics = CircuitMetrics{};
   s.cfg.num_threads = 1;
+  // How many audit checks the producing run made depends on its audit
+  // level, not on the circuit.
+  s.audit_checks = 0;
   // Process-local knobs; cleared so a stale pointer can never be consulted.
   s.cfg.audit = AuditLevel::kOff;
   s.cfg.router.cancel = nullptr;

@@ -11,6 +11,16 @@
 #include "util/thread_pool.h"
 
 namespace repro {
+namespace {
+
+/// The max_labels rule: of `n` live labels in cost order, the k-th of the
+/// `cap` survivors is the one at rank k·(n−1)/(cap−1), an even cost-rank
+/// sample that keeps both ends.
+std::size_t capped_rank(std::size_t k, std::size_t n, std::size_t cap) {
+  return cap == 1 ? 0 : k * (n - 1) / (cap - 1);
+}
+
+}  // namespace
 
 FaninTreeEmbedder::FaninTreeEmbedder(const FaninTree& tree, const EmbeddingGraph& graph,
                                      PlacementCostFn placement_cost, EmbedOptions options,
@@ -112,11 +122,9 @@ void FaninTreeEmbedder::cap_list(LabelList& list, std::vector<std::uint32_t>& or
   });
   // Mark all dead, then resurrect an even sample (ends always kept).
   for (std::uint32_t k : order) list.key[k].dead = 1;
-  const int keep = opt_.max_labels;
-  for (int k = 0; k < keep; ++k) {
-    std::size_t pos = (keep == 1) ? 0 : k * (order.size() - 1) / (keep - 1);
-    list.key[order[pos]].dead = 0;
-  }
+  const auto keep = static_cast<std::size_t>(opt_.max_labels);
+  for (std::size_t k = 0; k < keep; ++k)
+    list.key[order[capped_rank(k, order.size(), keep)]].dead = 0;
   list.live = static_cast<std::uint32_t>(keep);
 }
 
@@ -264,12 +272,12 @@ void FaninTreeEmbedder::merge_shifted(std::vector<SweepLabel>& dst,
     next = shifted(b);
   }
   while (a < dst.size()) keep(dst[a++]);
-  // The max_labels rule of cap_list: an even cost-rank sample, ends kept.
+  // The max_labels rule of cap_list. Ranks rise with k, so the in-place
+  // copy reads only entries not yet overwritten.
   const auto cap = static_cast<std::size_t>(opt_.max_labels);
   if (cap > 0 && merged_.size() > 2 * cap) {
     const std::size_t n = merged_.size();
-    for (std::size_t k = 0; k < cap; ++k)
-      merged_[k] = merged_[cap == 1 ? 0 : k * (n - 1) / (cap - 1)];
+    for (std::size_t k = 0; k < cap; ++k) merged_[k] = merged_[capped_rank(k, n, cap)];
     merged_.resize(cap);
   }
   dst.swap(merged_);

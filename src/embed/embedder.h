@@ -49,7 +49,8 @@ struct EmbedOptions {
   /// Optional nonlinear stem-delay function: delay of an unbranched wire run
   /// as a function of its length. When set, edge `delay` values are
   /// interpreted as *lengths* and the label's stem length enters the
-  /// dominance test. Reproduces the quadratic-delay worked example (Fig. 7).
+  /// dominance test. Reproduces the quadratic-delay worked example (Fig. 7)
+  /// and, with ElmoreDelayModel::wire_delay, the Elmore variant (§II-D).
   std::function<double(int)> stem_delay;
 
   /// Optional thread pool for the per-vertex column loop of each join: the

@@ -115,8 +115,9 @@ struct LabelKey {
   /// and joins.
   std::uint8_t dead = 0;
   /// Wire length since the last branching point; used when a nonlinear
-  /// stem-delay function is configured (reproduces the quadratic-delay
-  /// worked example of Fig. 7) and by the Elmore variant.
+  /// stem-delay function is configured: the quadratic stems of Fig. 7, or
+  /// the Elmore variant, whose upstream resistance R(u) = r_out + r * stem_len
+  /// is a function of it (docs/ALGORITHMS.md §2).
   std::int32_t stem_len = 0;
   double cost = 0;
 };

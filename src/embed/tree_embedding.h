@@ -9,11 +9,11 @@
 
 namespace repro {
 
-/// Result of FaninTreeEmbedder::extract / ElmoreEmbedder::extract: the chosen
-/// graph vertex of every tree node, dense over the tree's node-id space
-/// (DESIGN.md §9 — this replaced an unordered_map<TreeNodeId, EmbedVertexId>
-/// allocated per extraction). An invalid vertex marks an absent entry; a
-/// successful extraction assigns every tree node.
+/// Result of FaninTreeEmbedder::extract: the chosen graph vertex of every
+/// tree node, dense over the tree's node-id space (DESIGN.md §9 — this
+/// replaced an unordered_map<TreeNodeId, EmbedVertexId> allocated per
+/// extraction). An invalid vertex marks an absent entry; a successful
+/// extraction assigns every tree node.
 class TreeEmbedding {
  public:
   TreeEmbedding() = default;

@@ -1,5 +1,6 @@
 #include "flow/experiment.h"
 
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -20,25 +21,36 @@ double now_seconds() {
 
 }  // namespace
 
-double env_double(const char* name, double fallback, double min_exclusive) {
-  const char* s = std::getenv(name);
-  if (!s || !*s) return fallback;
+bool parse_double(const char* s, double* out) {
   char* end = nullptr;
   const double v = std::strtod(s, &end);
-  // Reject trailing garbage, non-finite values and out-of-range values so a
-  // typo'd knob degrades to the default instead of silently zeroing a scale
-  // or aborting a batch.
-  if (end == s || *end != '\0' || !std::isfinite(v) || v <= min_exclusive)
-    return fallback;
+  if (end == s || *end != '\0' || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
+bool parse_long(const char* s, long* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE) return false;
+  *out = v;
+  return true;
+}
+
+// A malformed or out-of-range knob degrades to the default instead of
+// silently zeroing a scale or aborting a batch.
+double env_double(const char* name, double fallback, double min_exclusive) {
+  const char* s = std::getenv(name);
+  double v = 0;
+  if (!s || !parse_double(s, &v) || v <= min_exclusive) return fallback;
   return v;
 }
 
 long env_long(const char* name, long fallback, long min_inclusive) {
   const char* s = std::getenv(name);
-  if (!s || !*s) return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v < min_inclusive) return fallback;
+  long v = 0;
+  if (!s || !parse_long(s, &v) || v < min_inclusive) return fallback;
   return v;
 }
 

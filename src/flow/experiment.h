@@ -58,6 +58,13 @@ struct FlowConfig {
 /// never abort or zero a batch.
 FlowConfig config_from_env();
 
+/// Strict number parsing, shared by the environment knobs below and the
+/// tools' numeric flags: true iff the whole of `s` is a finite number
+/// (parse_double) or a base-10 integer in the range of long (parse_long).
+/// `*out` is written only on success; range checks are the caller's.
+bool parse_double(const char* s, double* out);
+bool parse_long(const char* s, long* out);
+
 /// Validated env parsing shared with the serve layer: returns `fallback`
 /// unless the variable parses cleanly and exceeds `min_exclusive` (for
 /// doubles) / reaches `min_inclusive` (for longs).

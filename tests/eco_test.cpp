@@ -251,6 +251,19 @@ TEST(EcoSession, BaseChecksumIgnoresVolatileConfig) {
   EXPECT_EQ(sa.deltas_applied(), 0);
 }
 
+TEST(EcoSession, BaseChecksumIgnoresAuditChecks) {
+  // A checkpoint written by an audited run counts its audit checks; the
+  // same circuit state from an unaudited run has none. Both must open as
+  // the same base, or their chains and result-cache entries never meet.
+  FlowSnapshot a = make_placed_snapshot("tseng", 0.05, 7);
+  FlowSnapshot b = make_placed_snapshot("tseng", 0.05, 7);
+  a.audit_checks = 12;
+  b.audit_checks = 0;
+  EcoSession sa("s", std::move(a), {});
+  EcoSession sb("s", std::move(b), {});
+  EXPECT_EQ(sa.base_checksum(), sb.base_checksum());
+}
+
 TEST(EcoSession, RejectsUnusableBase) {
   FlowSnapshot s = make_placed_snapshot("tseng", 0.05, 7);
   s.nl.reset();  // no circuit

@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -41,6 +42,7 @@
 #include "dist/coordinator.h"
 #include "dist/worker.h"
 #include "eco/session_manager.h"
+#include "flow/experiment.h"
 #include "serve/jsonl.h"
 #include "serve/service.h"
 #include "util/log.h"
@@ -157,6 +159,24 @@ bool parse_args(int argc, char** argv, Args& a) {
     };
     const char* arg = argv[i];
     const char* v = nullptr;
+    // Numeric values parse strictly; a malformed or out-of-range one is a
+    // usage error, never a silent default.
+    auto bad_value = [&] {
+      std::fprintf(stderr, "flow_server: bad value '%s' for %s\n", v, arg);
+      return false;
+    };
+    auto count_flag = [&](int* out) {
+      long n = 0;
+      if (!(v = need(arg))) return false;
+      if (!parse_long(v, &n) || n < 0 || n > INT_MAX) return bad_value();
+      *out = static_cast<int>(n);
+      return true;
+    };
+    auto seconds_flag = [&](double* out, bool zero_ok) {
+      if (!(v = need(arg))) return false;
+      if (!parse_double(v, out) || *out < 0 || (*out == 0 && !zero_ok)) return bad_value();
+      return true;
+    };
     if (!std::strcmp(arg, "--jobs")) {
       if (!(v = need(arg))) return false;
       a.jobs = v;
@@ -174,17 +194,13 @@ bool parse_args(int argc, char** argv, Args& a) {
       if (!(v = need(arg))) return false;
       a.sessions_dir = v;
     } else if (!std::strcmp(arg, "--threads")) {
-      if (!(v = need(arg))) return false;
-      a.threads = std::atoi(v);
+      if (!count_flag(&a.threads)) return false;
     } else if (!std::strcmp(arg, "--engine-threads")) {
-      if (!(v = need(arg))) return false;
-      a.engine_threads = std::atoi(v);
+      if (!count_flag(&a.engine_threads)) return false;
     } else if (!std::strcmp(arg, "--job-timeout")) {
-      if (!(v = need(arg))) return false;
-      a.job_timeout = std::atof(v);
+      if (!seconds_flag(&a.job_timeout, true)) return false;
     } else if (!std::strcmp(arg, "--max-retries")) {
-      if (!(v = need(arg))) return false;
-      a.max_retries = std::atoi(v);
+      if (!count_flag(&a.max_retries)) return false;
     } else if (!std::strcmp(arg, "--placer")) {
       if (!(v = need(arg))) return false;
       a.placer = v;
@@ -198,8 +214,7 @@ bool parse_args(int argc, char** argv, Args& a) {
     } else if (!std::strcmp(arg, "--eco-cold-audit")) {
       a.eco_cold_audit = true;
     } else if (!std::strcmp(arg, "--workers")) {
-      if (!(v = need(arg))) return false;
-      a.workers = std::atoi(v);
+      if (!count_flag(&a.workers)) return false;
     } else if (!std::strcmp(arg, "--listen")) {
       if (!(v = need(arg))) return false;
       a.listen = v;
@@ -207,14 +222,11 @@ bool parse_args(int argc, char** argv, Args& a) {
       if (!(v = need(arg))) return false;
       a.chaos.push_back(v);
     } else if (!std::strcmp(arg, "--heartbeat-timeout")) {
-      if (!(v = need(arg))) return false;
-      a.heartbeat_timeout = std::atof(v);
+      if (!seconds_flag(&a.heartbeat_timeout, false)) return false;
     } else if (!std::strcmp(arg, "--degrade-grace")) {
-      if (!(v = need(arg))) return false;
-      a.degrade_grace = std::atof(v);
+      if (!seconds_flag(&a.degrade_grace, true)) return false;
     } else if (!std::strcmp(arg, "--respawn-budget")) {
-      if (!(v = need(arg))) return false;
-      a.respawn_budget = std::atoi(v);
+      if (!count_flag(&a.respawn_budget)) return false;
     } else if (!std::strcmp(arg, "--worker")) {
       a.worker_mode = true;
     } else if (!std::strcmp(arg, "--connect")) {
@@ -224,11 +236,9 @@ bool parse_args(int argc, char** argv, Args& a) {
       if (!(v = need(arg))) return false;
       a.fault = v;
     } else if (!std::strcmp(arg, "--crash-after-checkpoints")) {
-      if (!(v = need(arg))) return false;
-      a.crash_after_checkpoints = std::atoi(v);
+      if (!count_flag(&a.crash_after_checkpoints)) return false;
     } else if (!std::strcmp(arg, "--crash-after-deltas")) {
-      if (!(v = need(arg))) return false;
-      a.crash_after_deltas = std::atoi(v);
+      if (!count_flag(&a.crash_after_deltas)) return false;
     } else {
       std::fprintf(stderr, "flow_server: unknown option '%s'\n", arg);
       return false;
@@ -347,10 +357,9 @@ std::unique_ptr<Coordinator> make_coordinator(const Args& args,
   copt.worker_faults.resize(static_cast<std::size_t>(copt.spawn_workers));
   for (const std::string& c : args.chaos) {
     const std::size_t colon = c.find(':');
-    const int slot = colon == std::string::npos ? -1
-                                                : std::atoi(c.substr(0, colon).c_str());
-    if (colon == std::string::npos || slot < 0 ||
-        slot >= copt.spawn_workers) {
+    long slot = -1;
+    if (colon == std::string::npos || !parse_long(c.substr(0, colon).c_str(), &slot) ||
+        slot < 0 || slot >= copt.spawn_workers) {
       std::fprintf(stderr,
                    "flow_server: bad --chaos '%s' (want SLOT:FAULTSPEC with "
                    "SLOT < --workers)\n",

@@ -13,6 +13,7 @@
 // Exit code 0 on success, 1 on an internal failure (equivalence/legality), 2
 // on bad usage.
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -94,6 +95,12 @@ bool parse_args(int argc, char** argv, Args& a) {
     };
     const char* arg = argv[i];
     const char* v = nullptr;
+    // Numeric values parse strictly; a malformed or out-of-range one is a
+    // usage error, never a silent default.
+    auto bad_value = [&] {
+      std::fprintf(stderr, "replicate_tool: bad value '%s' for %s\n", v, arg);
+      return false;
+    };
     if (!std::strcmp(arg, "--blif")) {
       if (!(v = need(arg))) return false;
       a.blif = v;
@@ -102,10 +109,12 @@ bool parse_args(int argc, char** argv, Args& a) {
       a.circuit = v;
     } else if (!std::strcmp(arg, "--scale")) {
       if (!(v = need(arg))) return false;
-      a.scale = std::atof(v);
+      if (!parse_double(v, &a.scale) || a.scale <= 0) return bad_value();
     } else if (!std::strcmp(arg, "--seed")) {
       if (!(v = need(arg))) return false;
-      a.seed = std::strtoull(v, nullptr, 10);
+      long seed = 0;
+      if (!parse_long(v, &seed) || seed < 0) return bad_value();
+      a.seed = static_cast<std::uint64_t>(seed);
     } else if (!std::strcmp(arg, "--place")) {
       if (!(v = need(arg))) return false;
       a.place_in = v;
@@ -117,7 +126,9 @@ bool parse_args(int argc, char** argv, Args& a) {
       a.variant = v;
     } else if (!std::strcmp(arg, "--threads")) {
       if (!(v = need(arg))) return false;
-      a.threads = std::atoi(v);
+      long threads = 0;
+      if (!parse_long(v, &threads) || threads < 0 || threads > INT_MAX) return bad_value();
+      a.threads = static_cast<int>(threads);
     } else if (!std::strcmp(arg, "--route")) {
       a.do_route = true;
     } else if (!std::strcmp(arg, "--audit")) {
