@@ -8,14 +8,17 @@
 // paranoid cold-rebuild journal audit — the speedups reported are for
 // *equivalent* answers. Emits BENCH_eco.json in the working directory.
 //
+// Gates:
+//   full run    geomean per-delta speedup >= 10x and cache-hit speedup
+//               >= 100x over the full circuits.
 //   --smoke     the gate circuit only. With --reference <committed
 //               BENCH_eco.json>, the deterministic smoke counters (journal
-//               chain, applied/rejected/hit/miss counts) must match the
-//               committed values exactly — they are machine-independent.
+//               chain, applied/rejected/cache-hit counts) must match the
+//               committed values exactly — they are machine-independent —
+//               and the committed aggregates must pass the full-run gates.
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -261,44 +264,14 @@ CircuitResult run_circuit(const BenchCircuit& bc, int* failures) {
   return r;
 }
 
-bool json_number_after(const std::string& text, const char* key, double* out) {
-  std::string needle = std::string("\"") + key + "\":";
-  auto pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  return std::sscanf(text.c_str() + pos + needle.size(), " %lf", out) == 1;
-}
-
-bool json_string_after(const std::string& text, const char* key,
-                       std::string* out) {
-  std::string needle = std::string("\"") + key + "\": \"";
-  auto pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  pos += needle.size();
-  auto end = text.find('"', pos);
-  if (end == std::string::npos) return false;
-  *out = text.substr(pos, end - pos);
-  return true;
-}
-
 }  // namespace
 }  // namespace repro
 
 int main(int argc, char** argv) {
   using namespace repro;
-  bool smoke = false;
-  std::string reference;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--smoke")) {
-      smoke = true;
-    } else if (!std::strcmp(argv[i], "--reference") && i + 1 < argc) {
-      reference = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: microbench_eco [--smoke] [--reference "
-                   "BENCH_eco.json]\n");
-      return 2;
-    }
-  }
+  bench::BenchArgs args;
+  if (!bench::parse_bench_args(argc, argv, "eco", &args)) return 2;
+  const bool smoke = args.smoke;
 
   int failures = 0;
   std::vector<CircuitResult> results;
@@ -319,66 +292,23 @@ int main(int argc, char** argv) {
   const double geo_hit = std::exp(log_hit / agg_n);
   std::printf("geomean per-delta speedup %.1fx, cache-hit speedup %.1fx\n",
               geo_speedup, geo_hit);
-  if (!smoke && geo_speedup < 10.0) {
-    std::fprintf(stderr, "FAIL: per-delta speedup %.1fx < 10x\n", geo_speedup);
-    ++failures;
-  }
-  if (!smoke && geo_hit < 100.0) {
-    std::fprintf(stderr, "FAIL: cache-hit speedup %.1fx < 100x\n", geo_hit);
-    ++failures;
-  }
 
-  // Deterministic smoke counters for the CI gate (always from the gate
-  // circuit, which both full and smoke runs execute first).
+  // Deterministic smoke counters (always from the gate circuit, which both
+  // full and smoke runs execute first).
   const CircuitResult& gate = results[0];
-  char gate_chain[20];
-  std::snprintf(gate_chain, sizeof gate_chain, "%016llx",
-                static_cast<unsigned long long>(gate.chain));
-
-  if (!reference.empty()) {
-    FILE* f = std::fopen(reference.c_str(), "rb");
-    if (!f) {
-      std::fprintf(stderr, "FAIL: cannot read reference %s\n",
-                   reference.c_str());
-      ++failures;
-    } else {
-      std::string text;
-      char buf[4096];
-      for (std::size_t got; (got = std::fread(buf, 1, sizeof(buf), f)) > 0;)
-        text.append(buf, got);
-      std::fclose(f);
-      std::string ref_chain;
-      double ref_applied = 0, ref_rejected = 0, ref_hits = 0;
-      if (!json_string_after(text, "smoke_chain", &ref_chain) ||
-          !json_number_after(text, "smoke_applied", &ref_applied) ||
-          !json_number_after(text, "smoke_rejected", &ref_rejected) ||
-          !json_number_after(text, "smoke_cache_hits", &ref_hits)) {
-        std::fprintf(stderr, "FAIL: reference %s lacks smoke_gate fields\n",
-                     reference.c_str());
-        ++failures;
-      } else if (ref_chain != gate_chain ||
-                 static_cast<int>(ref_applied) != gate.applied ||
-                 static_cast<int>(ref_rejected) != gate.rejected ||
-                 static_cast<std::uint64_t>(ref_hits) != gate.replay_hits) {
-        std::fprintf(stderr,
-                     "FAIL: smoke counters diverge from committed reference "
-                     "(chain %s vs %s, applied %d vs %d, rejected %d vs %d, "
-                     "hits %llu vs %.0f) — the delta pipeline is no longer "
-                     "deterministic\n",
-                     gate_chain, ref_chain.c_str(), gate.applied,
-                     static_cast<int>(ref_applied), gate.rejected,
-                     static_cast<int>(ref_rejected),
-                     static_cast<unsigned long long>(gate.replay_hits),
-                     ref_hits);
-        ++failures;
-      } else {
-        std::printf("smoke gate vs %s: chain %s, %d applied, %d rejected, "
-                    "%llu cache hits — all match\n",
-                    reference.c_str(), gate_chain, gate.applied, gate.rejected,
-                    static_cast<unsigned long long>(gate.replay_hits));
-      }
-    }
-  }
+  const std::vector<bench::GateField> smoke_gate = {
+      bench::exact("smoke_chain", bench::hex(gate.chain)),
+      bench::exact("smoke_applied", gate.applied),
+      bench::exact("smoke_rejected", gate.rejected),
+      bench::exact("smoke_cache_hits", gate.replay_hits),
+  };
+  const std::vector<bench::HeadlineGate> headline = {
+      {"summary", "aggregate_speedup", bench::GateRule::kAtLeast, 10.0,
+       geo_speedup},
+      {"cache_hit", "aggregate_speedup", bench::GateRule::kAtLeast, 100.0,
+       geo_hit},
+  };
+  failures += bench::check_gates(args, smoke_gate, headline);
 
   FILE* out = std::fopen("BENCH_eco.json", "w");
   if (!out) {
@@ -389,11 +319,10 @@ int main(int argc, char** argv) {
   bench::emit_summary(out, "eco", geo_speedup);
   std::fprintf(out,
                "  \"benchmark\": \"eco\",\n  \"smoke\": %s,\n"
-               "  \"aggregate_incremental_speedup\": %.1f,\n"
-               "  \"aggregate_cache_hit_speedup\": %.1f,\n"
-               "  \"smoke_gate\": {\"smoke_chain\": \"%s\", "
-               "\"smoke_applied\": %d, \"smoke_rejected\": %d, "
-               "\"smoke_cache_hits\": %llu},\n"
+               "  \"cache_hit\": {\"aggregate_speedup\": %.1f},\n",
+               smoke ? "true" : "false", geo_hit);
+  bench::write_smoke_gate(out, smoke_gate);
+  std::fprintf(out,
                "  \"note\": \"incremental = EcoSession::apply "
                "(validate+mutate+legalize+re-time); cold = full TimingGraph "
                "rebuild + wirelength re-sum on the same state; hit = replay "
@@ -402,12 +331,9 @@ int main(int argc, char** argv) {
                "re-legalization (a ripple re-place is state mutation, not "
                "evaluation, and is timed separately as "
                "cache_hit_relegalize_us). us/speedups are machine-dependent "
-               "telemetry; the CI gate compares only the deterministic smoke "
-               "counters\",\n"
-               "  \"circuits\": [\n",
-               smoke ? "true" : "false", geo_speedup, geo_hit, gate_chain,
-               gate.applied, gate.rejected,
-               static_cast<unsigned long long>(gate.replay_hits));
+               "telemetry; the smoke gate compares only the deterministic "
+               "smoke counters\",\n"
+               "  \"circuits\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const CircuitResult& r = results[i];
     std::fprintf(

@@ -31,13 +31,12 @@
 //               annealer/analytic speedup must stay above half the committed
 //               one — a ratio of two runs on one machine, so a uniformly
 //               slower CI box cancels out; only a true backend regression
-//               trips it.
+//               trips it. The committed quality geomeans and largest-size
+//               speedup must pass the full-run gates.
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <ctime>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -51,26 +50,6 @@
 
 namespace repro {
 namespace {
-
-// ---- fingerprint (FNV-1a 64) ----------------------------------------------
-
-std::uint64_t fnv_init() { return 1469598103934665603ull; }
-void mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 1099511628211ull;
-  }
-}
-
-std::uint64_t placement_fingerprint(const Netlist& nl, const Placement& pl) {
-  std::uint64_t h = fnv_init();
-  for (CellId c : nl.live_cell_ids()) {
-    Point p = pl.location(c);
-    mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(p.x)));
-    mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(p.y)));
-  }
-  return h;
-}
 
 // ---- W_inf routed evaluation ----------------------------------------------
 
@@ -164,7 +143,7 @@ BackendResult run_annealer(const Netlist& nl, const FpgaGrid& grid,
     if (s == 1) {
       out.place_seconds = sec;
       out.work_units = st.work_units();
-      out.placement_fp = placement_fingerprint(copy, pl);
+      out.placement_fp = bench::placement_fingerprint(copy, pl);
       out.hpwl = pl.total_wirelength();
     }
     if (do_route) {
@@ -200,7 +179,7 @@ BackendResult run_analytic(const Netlist& nl, const FpgaGrid& grid,
     const double t0 = bench::now_seconds();
     Placement pl = place_circuit(copy, grid, dm, popt, &st);
     const double sec = bench::now_seconds() - t0;
-    fp[pass] = placement_fingerprint(copy, pl);
+    fp[pass] = bench::placement_fingerprint(copy, pl);
     if (pass != 0) continue;  // pass 1 exists only for the determinism check
     out.place_seconds = sec;
     out.work_units = st.work_units();
@@ -224,44 +203,14 @@ BackendResult run_analytic(const Netlist& nl, const FpgaGrid& grid,
   return out;
 }
 
-/// Minimal token scan for `"key": <number>` in a committed JSON file.
-bool json_number_after(const std::string& text, const char* key, double* out) {
-  std::string needle = std::string("\"") + key + "\":";
-  auto pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  return std::sscanf(text.c_str() + pos + needle.size(), " %lf", out) == 1;
-}
-
-bool json_string_after(const std::string& text, const char* key,
-                       std::string* out) {
-  std::string needle = std::string("\"") + key + "\": \"";
-  auto pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  auto end = text.find('"', pos + needle.size());
-  if (end == std::string::npos) return false;
-  *out = text.substr(pos + needle.size(), end - pos - needle.size());
-  return true;
-}
-
 }  // namespace
 }  // namespace repro
 
 int main(int argc, char** argv) {
   using namespace repro;
-  bool smoke = false;
-  std::string reference;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--smoke")) {
-      smoke = true;
-    } else if (!std::strcmp(argv[i], "--reference") && i + 1 < argc) {
-      reference = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: microbench_placer [--smoke] "
-                   "[--reference BENCH_placer.json]\n");
-      return 2;
-    }
-  }
+  bench::BenchArgs args;
+  if (!bench::parse_bench_args(argc, argv, "placer", &args)) return 2;
+  const bool smoke = args.smoke;
 
   const std::uint64_t gen_seed = 7;
   // Routed sizes feed the quality gate; the largest size is place-only (the
@@ -325,7 +274,7 @@ int main(int argc, char** argv) {
   for (int n : routed_sizes) run_size(n, true);
   for (int n : place_only_sizes) run_size(n, false);
 
-  // Quality gate: geomean ratios over the routed sizes.
+  // Quality: geomean ratios over the routed sizes.
   double crit_geo = 0, wl_geo = 0;
   {
     double cs = 0, ws = 0;
@@ -340,85 +289,32 @@ int main(int argc, char** argv) {
   }
   std::printf("quality geomeans over routed sizes: crit %.3fx wl %.3fx\n",
               crit_geo, wl_geo);
-  if (!smoke && (crit_geo > 1.05 || wl_geo > 1.05)) {
-    std::fprintf(stderr,
-                 "FAIL: quality geomean above 1.05 (crit %.3fx, wl %.3fx)\n",
-                 crit_geo, wl_geo);
-    ++failures;
-  }
 
-  // Speedup gate at the largest size (full mode only — the smoke size is too
-  // small for the annealer wall to matter, it is gated against the committed
-  // reference instead).
+  // The speedup gate reads the largest size (the smoke size is too small
+  // for the annealer wall to matter; there the speedup is held against the
+  // committed smoke_speedup instead, a ratio of two runs on one machine).
   const SizeResult& largest = results.back();
   std::printf("largest size %d: place %.2fs -> %.2fs (%.2fx)\n",
               largest.num_logic, largest.annealer.place_seconds,
               largest.analytic.place_seconds, largest.speedup);
-  if (!smoke && largest.speedup < 5.0) {
-    std::fprintf(stderr, "FAIL: speedup %.2fx < 5x at n=%d\n", largest.speedup,
-                 largest.num_logic);
-    ++failures;
-  }
-
-  // Smoke-size values for the CI regression gate.
   const SizeResult& smallest = results[0];
-  if (!reference.empty()) {
-    FILE* f = std::fopen(reference.c_str(), "rb");
-    if (!f) {
-      std::fprintf(stderr, "FAIL: cannot read reference %s\n",
-                   reference.c_str());
-      ++failures;
-    } else {
-      std::string text;
-      char buf[4096];
-      for (std::size_t got; (got = std::fread(buf, 1, sizeof(buf), f)) > 0;)
-        text.append(buf, got);
-      std::fclose(f);
-      double ref_iters = 0, ref_pin_evals = 0, ref_speedup = 0;
-      std::string ref_fp;
-      if (!json_number_after(text, "smoke_iterations", &ref_iters) ||
-          !json_number_after(text, "smoke_gradient_pin_evals",
-                             &ref_pin_evals) ||
-          !json_number_after(text, "smoke_speedup", &ref_speedup) ||
-          !json_string_after(text, "smoke_placement_fp", &ref_fp)) {
-        std::fprintf(stderr, "FAIL: reference %s lacks smoke_gate fields\n",
-                     reference.c_str());
-        ++failures;
-      } else {
-        char fp_hex[32];
-        std::snprintf(fp_hex, sizeof fp_hex, "%016llx",
-                      static_cast<unsigned long long>(
-                          smallest.analytic.placement_fp));
-        // Deterministic quantities must match the committed run exactly.
-        if (smallest.analytic.iterations != static_cast<int>(ref_iters) ||
-            smallest.analytic.gradient_pin_evals !=
-                static_cast<std::uint64_t>(ref_pin_evals) ||
-            ref_fp != fp_hex) {
-          std::fprintf(stderr,
-                       "FAIL: analytic trajectory diverged from committed "
-                       "reference (iters %d vs %.0f, pin evals %llu vs %.0f, "
-                       "fp %s vs %s)\n",
-                       smallest.analytic.iterations, ref_iters,
-                       static_cast<unsigned long long>(
-                           smallest.analytic.gradient_pin_evals),
-                       ref_pin_evals, fp_hex, ref_fp.c_str());
-          ++failures;
-        }
-        // Wall-clock ratio of two runs on the same machine: loose bound, a
-        // uniformly slower box cancels out of the ratio.
-        if (smallest.speedup < ref_speedup / 2.0) {
-          std::fprintf(stderr,
-                       "FAIL: smoke speedup %.2fx fell below half the "
-                       "committed %.2fx\n",
-                       smallest.speedup, ref_speedup);
-          ++failures;
-        }
-        std::printf("smoke gate vs %s: trajectory identical, speedup %.2fx "
-                    "(committed %.2fx)\n",
-                    reference.c_str(), smallest.speedup, ref_speedup);
-      }
-    }
-  }
+  const std::vector<bench::GateField> smoke_gate = {
+      bench::exact("smoke_iterations", smallest.analytic.iterations),
+      bench::exact("smoke_gradient_pin_evals",
+                   smallest.analytic.gradient_pin_evals),
+      bench::exact("smoke_placement_fp",
+                   bench::hex(smallest.analytic.placement_fp)),
+      bench::bounded("smoke_speedup", smallest.speedup,
+                     bench::GateRule::kAtLeast, 0.5, 2),
+  };
+  const std::vector<bench::HeadlineGate> headline = {
+      {"quality", "crit_ratio_geomean", bench::GateRule::kAtMost, 1.05,
+       crit_geo},
+      {"quality", "wl_ratio_geomean", bench::GateRule::kAtMost, 1.05, wl_geo},
+      {"summary", "aggregate_speedup", bench::GateRule::kAtLeast, 5.0,
+       largest.speedup},
+  };
+  failures += bench::check_gates(args, smoke_gate, headline);
 
   FILE* out = std::fopen("BENCH_placer.json", "w");
   if (!out) {
@@ -430,22 +326,15 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "  \"benchmark\": \"placer\",\n  \"smoke\": %s,\n"
                "  \"quality\": {\"crit_ratio_geomean\": %.4f, "
-               "\"wl_ratio_geomean\": %.4f},\n"
-               "  \"smoke_gate\": {\"smoke_iterations\": %d, "
-               "\"smoke_gradient_pin_evals\": %llu, "
-               "\"smoke_placement_fp\": \"%016llx\", "
-               "\"smoke_speedup\": %.2f},\n"
+               "\"wl_ratio_geomean\": %.4f},\n",
+               smoke ? "true" : "false", crit_geo, wl_geo);
+  bench::write_smoke_gate(out, smoke_gate);
+  std::fprintf(out,
                "  \"note\": \"speedup/seconds are machine-dependent "
-               "telemetry; the CI gate matches the analytic trajectory "
+               "telemetry; the smoke gate matches the analytic trajectory "
                "(iterations, pin evals, placement fingerprint — pure "
                "functions of the inputs) exactly and bounds the speedup "
-               "ratio, which cancels machine speed\",\n  \"sizes\": [\n",
-               smoke ? "true" : "false", crit_geo,
-               wl_geo, smallest.analytic.iterations,
-               static_cast<unsigned long long>(
-                   smallest.analytic.gradient_pin_evals),
-               static_cast<unsigned long long>(smallest.analytic.placement_fp),
-               smallest.speedup);
+               "ratio, which cancels machine speed\",\n  \"sizes\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SizeResult& sr = results[i];
     std::fprintf(out,

@@ -16,10 +16,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -33,15 +31,10 @@
 namespace repro {
 namespace {
 
-// ---- fingerprints (FNV-1a 64) ---------------------------------------------
+// ---- netlist fingerprint (FNV-1a 64) -------------------------------------
 
-std::uint64_t fnv_init() { return 1469598103934665603ull; }
-void mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 1099511628211ull;
-  }
-}
+using bench::fnv_init;
+using bench::mix;
 
 std::uint64_t netlist_fingerprint(const Netlist& nl) {
   std::uint64_t h = fnv_init();
@@ -65,26 +58,10 @@ std::uint64_t netlist_fingerprint(const Netlist& nl) {
   return h;
 }
 
-std::uint64_t placement_fingerprint(const Netlist& nl, const Placement& pl) {
-  std::uint64_t h = fnv_init();
-  for (CellId c : nl.live_cell_ids()) {
-    Point p = pl.location(c);
-    mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(p.x)));
-    mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(p.y)));
-  }
-  return h;
-}
-
 std::uint64_t double_bits(double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
   return bits;
-}
-
-std::string hex(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
 }
 
 // ---- bench ----------------------------------------------------------------
@@ -180,7 +157,7 @@ SizeResult run_size(int num_logic, std::uint64_t seed) {
   out.wirelength = rr.total_wirelength;
 
   out.netlist_fp = netlist_fingerprint(nl);
-  out.placement_fp = placement_fingerprint(nl, pl);
+  out.placement_fp = bench::placement_fingerprint(nl, pl);
   const ArenaCounters& ac = arena_counters();
   out.arena_bytes = ac.total_bytes();
   out.scratch_reuses = ac.scratch_reuses.load();
@@ -188,87 +165,14 @@ SizeResult run_size(int num_logic, std::uint64_t seed) {
   return out;
 }
 
-/// The value of `"key": <token>` in a committed JSON file: a string's
-/// contents without quotes, or a number's text. "" when the key is missing.
-std::string json_field(const std::string& text, const char* key) {
-  const std::string needle = std::string("\"") + key + "\": ";
-  auto pos = text.find(needle);
-  if (pos == std::string::npos) return "";
-  pos += needle.size();
-  if (text[pos] == '"') {
-    const auto end = text.find('"', pos + 1);
-    return end == std::string::npos ? "" : text.substr(pos + 1, end - pos - 1);
-  }
-  return text.substr(pos, text.find_first_of(",} \n", pos) - pos);
-}
-
-/// Checks the smoke-size result against the committed reference; returns
-/// the number of gate failures.
-int check_reference(const SizeResult& s, const std::string& reference) {
-  FILE* f = std::fopen(reference.c_str(), "rb");
-  if (!f) {
-    std::fprintf(stderr, "FAIL: cannot read reference %s\n", reference.c_str());
-    return 1;
-  }
-  std::string text;
-  char buf[4096];
-  for (std::size_t got; (got = std::fread(buf, 1, sizeof(buf), f)) > 0;)
-    text.append(buf, got);
-  std::fclose(f);
-
-  int failures = 0;
-  const std::pair<const char*, std::string> exact[] = {
-      {"smoke_netlist_fp", hex(s.netlist_fp)},
-      {"smoke_placement_fp", hex(s.placement_fp)},
-      {"smoke_history_fp", hex(s.history_fp)},
-      {"smoke_wirelength", std::to_string(s.wirelength)},
-      {"smoke_routed_delay_bits", hex(double_bits(s.routed_delay))},
-  };
-  for (const auto& [key, measured] : exact) {
-    const std::string committed = json_field(text, key);
-    if (committed != measured) {
-      std::fprintf(stderr,
-                   "FAIL: %s %s differs from committed %s — the flow's "
-                   "output changed\n",
-                   key, measured.c_str(),
-                   committed.empty() ? "(missing)" : committed.c_str());
-      ++failures;
-    }
-  }
-  const std::string ref_arena_text = json_field(text, "smoke_arena_bytes");
-  const double ref_arena = std::atof(ref_arena_text.c_str());
-  if (ref_arena_text.empty() ||
-      static_cast<double>(s.arena_bytes) > ref_arena * 1.1) {
-    std::fprintf(stderr,
-                 "FAIL: smoke arena high-water %.1f MiB exceeds committed "
-                 "%.1f MiB by >10%%\n",
-                 s.arena_bytes / 1048576.0, ref_arena / 1048576.0);
-    ++failures;
-  }
-  std::printf("smoke gate vs %s: %s, arena %.1f MiB (committed %.1f MiB)\n",
-              reference.c_str(),
-              failures ? "FAILED" : "fingerprints, wirelength, delay identical",
-              s.arena_bytes / 1048576.0, ref_arena / 1048576.0);
-  return failures;
-}
-
 }  // namespace
 }  // namespace repro
 
 int main(int argc, char** argv) {
   using namespace repro;
-  bool smoke = false;
-  std::string reference;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--smoke")) {
-      smoke = true;
-    } else if (!std::strcmp(argv[i], "--reference") && i + 1 < argc) {
-      reference = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: microbench_scale [--smoke] [--reference BENCH_scale.json]\n");
-      return 2;
-    }
-  }
+  bench::BenchArgs args;
+  if (!bench::parse_bench_args(argc, argv, "scale", &args)) return 2;
+  const bool smoke = args.smoke;
 
   const std::uint64_t seed = 7;
   const std::vector<int> sizes =
@@ -290,9 +194,19 @@ int main(int argc, char** argv) {
   }
 
   // The smoke gate always reads the smallest size, which both full and
-  // smoke runs execute.
+  // smoke runs execute. The scale bench has no headline gate.
   const SizeResult& s = results[0];
-  const int failures = reference.empty() ? 0 : check_reference(s, reference);
+  const std::vector<bench::GateField> smoke_gate = {
+      bench::exact("smoke_netlist_fp", bench::hex(s.netlist_fp)),
+      bench::exact("smoke_placement_fp", bench::hex(s.placement_fp)),
+      bench::exact("smoke_history_fp", bench::hex(s.history_fp)),
+      bench::exact("smoke_wirelength", s.wirelength),
+      bench::exact("smoke_routed_delay_bits",
+                   bench::hex(double_bits(s.routed_delay))),
+      bench::bounded("smoke_arena_bytes", s.arena_bytes,
+                     bench::GateRule::kAtMost, 1.1, 0),
+  };
+  const int failures = bench::check_gates(args, smoke_gate, {});
 
   FILE* out = std::fopen("BENCH_scale.json", "w");
   if (!out) {
@@ -301,22 +215,15 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n");
   bench::emit_summary(out, "scale", NAN);
+  std::fprintf(out, "  \"benchmark\": \"scale\",\n  \"smoke\": %s,\n",
+               smoke ? "true" : "false");
+  bench::write_smoke_gate(out, smoke_gate);
   std::fprintf(out,
-               "  \"benchmark\": \"scale\",\n  \"smoke\": %s,\n"
-               "  \"smoke_gate\": {\"smoke_netlist_fp\": \"%s\", "
-               "\"smoke_placement_fp\": \"%s\", \"smoke_history_fp\": \"%s\", "
-               "\"smoke_wirelength\": %lld, \"smoke_routed_delay_bits\": "
-               "\"%s\", \"smoke_arena_bytes\": %llu},\n"
                "  \"note\": \"one configuration (the defaults); the gate "
                "compares the smoke size's fingerprints, wirelength and "
                "routed-delay bits exactly and its arena high-water bytes "
                "within 10%%; seconds and rss are machine-dependent "
-               "telemetry\",\n  \"sizes\": [\n",
-               smoke ? "true" : "false", hex(s.netlist_fp).c_str(),
-               hex(s.placement_fp).c_str(), hex(s.history_fp).c_str(),
-               static_cast<long long>(s.wirelength),
-               hex(double_bits(s.routed_delay)).c_str(),
-               static_cast<unsigned long long>(s.arena_bytes));
+               "telemetry\",\n  \"sizes\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SizeResult& r = results[i];
     std::fprintf(

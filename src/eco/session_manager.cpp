@@ -1,15 +1,10 @@
 #include "eco/session_manager.h"
 
-#include <cmath>
-#include <cstdio>
 #include <filesystem>
 
-#include "gen/circuit_gen.h"
-#include "place/placer.h"
-#include "replicate/engine.h"
 #include "serve/jsonl.h"
+#include "serve/service.h"
 #include "serve/snapshot.h"
-#include "util/rng.h"
 
 namespace repro {
 namespace {
@@ -37,60 +32,32 @@ bool is_session_op_line(const std::string& line) {
 SessionOp parse_session_op(const std::string& line) {
   const auto obj = parse_jsonl_object(line);
   SessionOp op;
-  auto str = [](const JsonValue& v, const std::string& key) {
-    if (v.kind != JsonValue::Kind::kString)
-      throw JsonlError("key \"" + key + "\" must be a string");
-    return v.str;
-  };
-  auto num = [](const JsonValue& v, const std::string& key) {
-    if (v.kind != JsonValue::Kind::kNumber)
-      throw JsonlError("key \"" + key + "\" must be a number");
-    return v.num;
-  };
-  auto boolean = [](const JsonValue& v, const std::string& key) {
-    if (v.kind != JsonValue::Kind::kBool)
-      throw JsonlError("key \"" + key + "\" must be a boolean");
-    return v.b;
-  };
-  auto u64 = [&num](const JsonValue& v, const std::string& key) {
-    const double d = num(v, key);
-    if (!(d >= 0) || !(d < 18446744073709551616.0) || d != std::floor(d))
-      throw JsonlError("key \"" + key +
-                       "\" must be a non-negative integer < 2^64");
-    return static_cast<std::uint64_t>(d);
-  };
-  auto i32 = [&num](const JsonValue& v, const std::string& key) {
-    const double d = num(v, key);
-    if (!(d >= -2147483648.0) || !(d <= 2147483647.0) || d != std::floor(d))
-      throw JsonlError("key \"" + key + "\" must be a 32-bit integer");
-    return static_cast<std::int32_t>(d);
-  };
   for (const auto& [key, v] : obj) {
-    if (key == "op") op.op = str(v, key);
-    else if (key == "session") op.session = str(v, key);
-    else if (key == "from_checkpoint") op.from_checkpoint = str(v, key);
-    else if (key == "circuit") op.circuit = str(v, key);
-    else if (key == "scale") op.scale = num(v, key);
-    else if (key == "seed") { op.seed = u64(v, key); op.has_seed = true; }
-    else if (key == "variant") op.variant = str(v, key);
-    else if (key == "placer") op.placer = str(v, key);
-    else if (key == "route") op.route = boolean(v, key);
+    if (key == "op") op.op = json_string(v, key);
+    else if (key == "session") op.session = json_string(v, key);
+    else if (key == "from_checkpoint") op.from_checkpoint = json_string(v, key);
+    else if (key == "circuit") op.circuit = json_string(v, key);
+    else if (key == "scale") op.scale = json_number(v, key);
+    else if (key == "seed") { op.seed = json_u64(v, key); op.has_seed = true; }
+    else if (key == "variant") op.variant = json_string(v, key);
+    else if (key == "placer") op.placer = json_string(v, key);
+    else if (key == "route") op.route = json_bool(v, key);
     else if (key == "delta") {
-      if (!parse_delta_kind(str(v, key), &op.delta.kind))
+      if (!parse_delta_kind(json_string(v, key), &op.delta.kind))
         throw EcoError("unknown delta kind '" + v.str + "'");
       op.has_delta = true;
-    } else if (key == "cell") op.delta.cell = i32(v, key);
-    else if (key == "x") op.delta.x = i32(v, key);
-    else if (key == "y") op.delta.y = i32(v, key);
-    else if (key == "function") op.delta.function = u64(v, key);
-    else if (key == "registered") op.delta.registered = boolean(v, key);
-    else if (key == "pin") op.delta.pin = i32(v, key);
-    else if (key == "net") op.delta.net = i32(v, key);
+    } else if (key == "cell") op.delta.cell = json_i32(v, key);
+    else if (key == "x") op.delta.x = json_i32(v, key);
+    else if (key == "y") op.delta.y = json_i32(v, key);
+    else if (key == "function") op.delta.function = json_u64(v, key);
+    else if (key == "registered") op.delta.registered = json_bool(v, key);
+    else if (key == "pin") op.delta.pin = json_i32(v, key);
+    else if (key == "net") op.delta.net = json_i32(v, key);
     else if (key == "wire_delay_per_unit")
-      op.delta.wire_delay_per_unit = num(v, key);
-    else if (key == "logic_delay") op.delta.logic_delay = num(v, key);
-    else if (key == "io_delay") op.delta.io_delay = num(v, key);
-    else if (key == "ff_delay") op.delta.ff_delay = num(v, key);
+      op.delta.wire_delay_per_unit = json_number(v, key);
+    else if (key == "logic_delay") op.delta.logic_delay = json_number(v, key);
+    else if (key == "io_delay") op.delta.io_delay = json_number(v, key);
+    else if (key == "ff_delay") op.delta.ff_delay = json_number(v, key);
     else throw JsonlError("unknown session-op key \"" + key + "\"");
   }
   if (op.op.empty()) throw EcoError("session op needs an \"op\" key");
@@ -178,48 +145,30 @@ std::string SessionManager::handle_open(const SessionOp& op) {
                                      read_snapshot_file(op.from_checkpoint),
                                      sopt);
   } else {
-    // Fresh flow run: generate -> place -> (optionally) replicate, the same
-    // recipe and RNG discipline as a batch job, so a session opened on
-    // (circuit, scale, seed, placer, variant) is deterministic.
-    const McncCircuit* c = find_mcnc_circuit(op.circuit);
-    if (!c) throw EcoError("unknown circuit '" + op.circuit + "'");
-    EmbedVariant variant = EmbedVariant::kRtEmbedding;
-    if (op.variant != "none" && !parse_variant(op.variant, &variant))
-      throw EcoError("unknown variant '" + op.variant + "'");
-    FlowConfig cfg = opt_.base;
-    if (op.scale > 0) cfg.scale = op.scale;
-    if (op.has_seed) cfg.seed = op.seed;
-    if (!op.placer.empty() && !parse_placer_backend(op.placer, &cfg.placer))
-      throw EcoError("unknown placer '" + op.placer + "'");
-
-    FlowSnapshot snap;
-    snap.job_id = op.session;
-    snap.circuit = op.circuit;
-    snap.variant = op.variant;
-    snap.cfg = cfg;
-    Rng rng(cfg.seed);
-    snap.nl = std::make_unique<Netlist>(
-        generate_circuit(spec_for(*c, cfg.scale, cfg.seed)));
-    snap.grid_n = FpgaGrid::min_grid_for(
-        snap.nl->num_logic(),
-        snap.nl->num_input_pads() + snap.nl->num_output_pads());
-    snap.grid = std::make_unique<FpgaGrid>(snap.grid_n, snap.grid_io_rat);
-    PlacerOptions popt;
-    popt.backend = cfg.placer;
-    popt.annealer = cfg.annealer;
-    popt.annealer.seed = rng.next_u64();
-    popt.analytic = cfg.analytic;
-    snap.pl = std::make_unique<Placement>(
-        place_circuit(*snap.nl, *snap.grid, cfg.delay, popt));
-    if (op.variant != "none") {
-      EngineOptions eopt;
-      eopt.variant = variant;
-      eopt.num_threads = 1;
-      run_replication_engine(*snap.nl, *snap.pl, cfg.delay, eopt);
-    }
-    snap.rng_state = rng.state();
-    snap.stage = FlowStage::kReplicated;
-    s = std::make_unique<EcoSession>(op.session, std::move(snap), sopt);
+    // Fresh flow run: the batch job's own place -> replicate attempt (no
+    // route), so a session opened on (circuit, scale, seed, placer, variant)
+    // starts from the base a batch job of that spec checkpoints.
+    JobSpec spec;
+    spec.id = "eco";
+    spec.circuit = op.circuit;
+    spec.scale = op.scale > 0 ? op.scale : opt_.base.scale;
+    spec.seed = op.has_seed ? op.seed : opt_.base.seed;
+    spec.variant = op.variant;
+    spec.placer = op.placer;
+    spec.route = false;
+    const std::string invalid = validate_job_spec(spec);
+    if (!invalid.empty()) throw EcoError(invalid);
+    ServiceOptions service;
+    service.base = opt_.base;
+    std::string base;  // the attempt's last stage-boundary snapshot
+    FlowAttemptRequest req;
+    req.on_checkpoint = [&base](const FlowSnapshot& snap) {
+      base = serialize_snapshot(snap);
+    };
+    JobResult result;
+    result.spec = spec;
+    run_flow_attempt(service, req, result);
+    s = std::make_unique<EcoSession>(op.session, parse_snapshot(base), sopt);
   }
 
   // Persist before acknowledging: a crash after the open must resume this

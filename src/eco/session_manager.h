@@ -19,7 +19,8 @@ struct SessionOp {
 
   // open_session — either a checkpoint to restore ...
   std::string from_checkpoint;  ///< path to an .rps/.ckpt flow snapshot
-  // ... or a flow spec to run (generate -> place -> optionally replicate).
+  // ... or a flow spec to run as a batch job's attempt without routing
+  // (generate -> place -> optionally replicate).
   std::string circuit;
   double scale = 0;  ///< 0 = inherit the manager's base config
   std::uint64_t seed = 0;
@@ -53,7 +54,8 @@ struct SessionManagerOptions {
   /// Run the cold-rebuild delta-chain audit on every close_session (and
   /// fail the close on disagreement). The paranoid mode of the ECO surface.
   bool cold_audit = false;
-  /// Baseline flow configuration for open-from-spec sessions.
+  /// Baseline flow configuration for open-from-spec sessions; its audit
+  /// level runs the same stage audits as a batch job's.
   FlowConfig base;
   /// Test/CI hook simulating a crash: after this many *applied* deltas
   /// (process-wide, counted after the session file is persisted),

@@ -142,6 +142,39 @@ std::map<std::string, JsonValue> parse_jsonl_object(const std::string& line) {
   return Parser(line).object();
 }
 
+std::string json_string(const JsonValue& v, const std::string& key) {
+  if (v.kind != JsonValue::Kind::kString)
+    throw JsonlError("key \"" + key + "\" must be a string");
+  return v.str;
+}
+
+double json_number(const JsonValue& v, const std::string& key) {
+  if (v.kind != JsonValue::Kind::kNumber)
+    throw JsonlError("key \"" + key + "\" must be a number");
+  return v.num;
+}
+
+bool json_bool(const JsonValue& v, const std::string& key) {
+  if (v.kind != JsonValue::Kind::kBool)
+    throw JsonlError("key \"" + key + "\" must be a boolean");
+  return v.b;
+}
+
+std::uint64_t json_u64(const JsonValue& v, const std::string& key) {
+  const double d = json_number(v, key);
+  if (!(d >= 0) || !(d < 18446744073709551616.0) || d != std::floor(d))
+    throw JsonlError("key \"" + key +
+                     "\" must be a non-negative integer < 2^64");
+  return static_cast<std::uint64_t>(d);
+}
+
+std::int32_t json_i32(const JsonValue& v, const std::string& key) {
+  const double d = json_number(v, key);
+  if (!(d >= -2147483648.0) || !(d <= 2147483647.0) || d != std::floor(d))
+    throw JsonlError("key \"" + key + "\" must be a 32-bit integer");
+  return static_cast<std::int32_t>(d);
+}
+
 std::string json_quote(const std::string& s) {
   std::string out = "\"";
   for (char c : s) {

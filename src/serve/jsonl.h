@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -30,6 +31,17 @@ class JsonlError : public std::runtime_error {
 /// Parses one flat JSON object. Throws JsonlError on malformed input,
 /// nested containers, or duplicate keys.
 std::map<std::string, JsonValue> parse_jsonl_object(const std::string& line);
+
+// Typed readers for one value of a parsed object. `key` names the value in
+// the JsonlError thrown on a kind mismatch ("key \"seed\" must be a number").
+// The integer readers range-check before narrowing: a negative or huge
+// double -> unsigned/int cast is undefined behaviour, so "seed": -1 must be
+// a JsonlError, not UB.
+std::string json_string(const JsonValue& v, const std::string& key);
+double json_number(const JsonValue& v, const std::string& key);
+bool json_bool(const JsonValue& v, const std::string& key);
+std::uint64_t json_u64(const JsonValue& v, const std::string& key);
+std::int32_t json_i32(const JsonValue& v, const std::string& key);
 
 /// Incremental writer for one flat JSON object line.
 class JsonlWriter {

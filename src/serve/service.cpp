@@ -587,48 +587,19 @@ void FlowService::request_shutdown() {
 JobSpec parse_job_line(const std::string& line) {
   const auto obj = parse_jsonl_object(line);
   JobSpec spec;
-  auto str = [](const JsonValue& v, const std::string& key) {
-    if (v.kind != JsonValue::Kind::kString)
-      throw JsonlError("key \"" + key + "\" must be a string");
-    return v.str;
-  };
-  auto num = [](const JsonValue& v, const std::string& key) {
-    if (v.kind != JsonValue::Kind::kNumber)
-      throw JsonlError("key \"" + key + "\" must be a number");
-    return v.num;
-  };
-  auto boolean = [](const JsonValue& v, const std::string& key) {
-    if (v.kind != JsonValue::Kind::kBool)
-      throw JsonlError("key \"" + key + "\" must be a boolean");
-    return v.b;
-  };
-  // Range-checked casts: a negative or huge double -> unsigned/int cast is
-  // undefined behaviour, so "seed": -1 must be a JsonlError, not UB.
-  auto u64 = [&num](const JsonValue& v, const std::string& key) {
-    const double d = num(v, key);
-    if (!(d >= 0) || !(d < 18446744073709551616.0) || d != std::floor(d))
-      throw JsonlError("key \"" + key +
-                       "\" must be a non-negative integer < 2^64");
-    return static_cast<std::uint64_t>(d);
-  };
-  auto i32 = [&num](const JsonValue& v, const std::string& key) {
-    const double d = num(v, key);
-    if (!(d >= -2147483648.0) || !(d <= 2147483647.0) || d != std::floor(d))
-      throw JsonlError("key \"" + key + "\" must be a 32-bit integer");
-    return static_cast<int>(d);
-  };
   for (const auto& [key, v] : obj) {
-    if (key == "id") spec.id = str(v, key);
-    else if (key == "circuit") spec.circuit = str(v, key);
-    else if (key == "scale") spec.scale = num(v, key);
-    else if (key == "seed") spec.seed = u64(v, key);
-    else if (key == "variant") spec.variant = str(v, key);
-    else if (key == "placer") spec.placer = str(v, key);
-    else if (key == "route") spec.route = boolean(v, key);
-    else if (key == "engine_threads") spec.engine_threads = i32(v, key);
-    else if (key == "timeout_seconds") spec.timeout_seconds = num(v, key);
-    else if (key == "inject_fail") spec.inject_fail_stage = str(v, key);
-    else if (key == "inject_hang") spec.inject_hang_stage = str(v, key);
+    if (key == "id") spec.id = json_string(v, key);
+    else if (key == "circuit") spec.circuit = json_string(v, key);
+    else if (key == "scale") spec.scale = json_number(v, key);
+    else if (key == "seed") spec.seed = json_u64(v, key);
+    else if (key == "variant") spec.variant = json_string(v, key);
+    else if (key == "placer") spec.placer = json_string(v, key);
+    else if (key == "route") spec.route = json_bool(v, key);
+    else if (key == "engine_threads") spec.engine_threads = json_i32(v, key);
+    else if (key == "timeout_seconds")
+      spec.timeout_seconds = json_number(v, key);
+    else if (key == "inject_fail") spec.inject_fail_stage = json_string(v, key);
+    else if (key == "inject_hang") spec.inject_hang_stage = json_string(v, key);
     else throw JsonlError("unknown job key \"" + key + "\"");
   }
   return spec;

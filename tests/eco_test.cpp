@@ -19,6 +19,7 @@
 #include "gen/circuit_gen.h"
 #include "place/annealer.h"
 #include "serve/jsonl.h"
+#include "serve/service.h"
 #include "serve/snapshot.h"
 #include "timing/timing_graph.h"
 #include "util/cancel.h"
@@ -729,6 +730,48 @@ TEST(SessionManager, CrashHookCountsPersistedDeltas) {
                   .at("ok")
                   .b);
   EXPECT_TRUE(mgr.crash_requested());
+}
+
+// The base_checksum text of an open_session result line (the u64 would lose
+// bits as a parsed JSON double).
+std::string base_checksum_of(const std::string& line) {
+  const std::string key = "\"base_checksum\":";
+  const auto pos = line.find(key);
+  if (pos == std::string::npos) return "";
+  const auto begin = pos + key.size();
+  return line.substr(begin, line.find_first_of(",}", begin) - begin);
+}
+
+// A fresh open runs the batch job's own attempt, so its base is the one a
+// session restores from that job's checkpoint.
+TEST(SessionManager, FreshOpenMatchesBatchCheckpoint) {
+  for (const char* variant : {"rt", "none"}) {
+    SCOPED_TRACE(variant);
+    TempDir dir(std::string("fresh_") + variant);
+    ServiceOptions sopt;
+    sopt.checkpoint_dir = dir.path;
+    JobSpec job;
+    job.id = "batch";
+    job.circuit = "tseng";
+    job.scale = 0.05;
+    job.seed = 3;
+    job.variant = variant;
+    const std::vector<JobResult> done = FlowService(sopt).run_batch({job});
+    ASSERT_EQ(done.at(0).state, JobState::kDone) << done.at(0).error;
+
+    SessionManager mgr(SessionManagerOptions{});
+    const std::string fresh = mgr.handle_line(
+        R"({"op":"open_session","session":"fresh","circuit":"tseng",)"
+        R"("scale":0.05,"seed":3,"variant":")" +
+        std::string(variant) + "\"}");
+    const std::string restored = mgr.handle_line(
+        R"({"op":"open_session","session":"restored","from_checkpoint":")" +
+        dir.path + "/batch.ckpt\"}");
+    ASSERT_TRUE(parse_jsonl_object(fresh).at("ok").b) << fresh;
+    ASSERT_TRUE(parse_jsonl_object(restored).at("ok").b) << restored;
+    EXPECT_FALSE(base_checksum_of(fresh).empty());
+    EXPECT_EQ(base_checksum_of(fresh), base_checksum_of(restored));
+  }
 }
 
 }  // namespace
