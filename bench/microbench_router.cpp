@@ -16,8 +16,12 @@
 //     within 1% of baseline (equal-cost path tie-breaks differ; quality must
 //     not)
 //   - fast results bit-identical across two runs (determinism)
-// --smoke runs the smallest circuit only and skips the 3x gate (counters and
-// determinism are still checked) so CI stays fast and wall-clock free.
+// --smoke runs the smallest circuit only and skips the 3x and 1% gates
+// (counters and determinism are still checked). With --reference <committed
+// BENCH_router.json> the smallest circuit's W_min, probes, W_min-search
+// expansions and infinite-width wirelength must equal the committed
+// `smoke_gate` values for every config, and the committed headline numbers
+// must pass the full-run gates (bench::check_gates).
 //
 // Emits BENCH_router.json in the working directory.
 
@@ -162,9 +166,9 @@ const ConfigResult& find_config(const CircuitResult& cr, const char* name) {
 
 int main(int argc, char** argv) {
   using namespace repro;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i)
-    if (!std::strcmp(argv[i], "--smoke")) smoke = true;
+  bench::BenchArgs args;
+  if (!bench::parse_bench_args(argc, argv, "router", &args)) return 2;
+  const bool smoke = args.smoke;
 
   const std::vector<int> sizes = smoke ? std::vector<int>{60}
                                        : std::vector<int>{60, 120, 200};
@@ -247,19 +251,36 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(base_exp),
               static_cast<unsigned long long>(fast_exp), reduction, wl_geomean,
               delay_geomean);
-  if (!smoke && reduction < 3.0) {
-    std::fprintf(stderr, "FAIL: expansion reduction %.2fx < 3x\n", reduction);
-    ++failures;
-  }
   // Equal-cost tie-breaks make single-circuit quality noisy (+/- ~2%); the 1%
   // bound is meaningful on the full aggregate, smoke only catches gross
   // regressions.
-  const double quality_tol = smoke ? 1.10 : 1.01;
-  if (wl_geomean > quality_tol || delay_geomean > quality_tol) {
+  if (smoke && (wl_geomean > 1.10 || delay_geomean > 1.10)) {
     std::fprintf(stderr, "FAIL: low-stress quality regressed (wl %.4fx, delay "
                  "%.4fx)\n", wl_geomean, delay_geomean);
     ++failures;
   }
+
+  // The smoke gate reads the smallest circuit, which both full and smoke runs
+  // execute first.
+  std::vector<bench::GateField> smoke_gate;
+  for (const ConfigResult& c : results[0].configs) {
+    const std::string k = "smoke_" + c.config + "_";
+    smoke_gate.push_back(bench::exact(k + "wmin", static_cast<std::uint64_t>(c.wmin)));
+    smoke_gate.push_back(
+        bench::exact(k + "wmin_probes", static_cast<std::uint64_t>(c.wmin_probes)));
+    smoke_gate.push_back(bench::exact(k + "wmin_nodes_expanded", c.wmin_expansions));
+    smoke_gate.push_back(
+        bench::exact(k + "inf_wirelength", static_cast<std::uint64_t>(c.inf_wirelength)));
+  }
+  const std::vector<bench::HeadlineGate> headline = {
+      {"quality", "wmin_expansion_reduction", bench::GateRule::kAtLeast, 3.0,
+       reduction},
+      {"quality", "ls_wirelength_geomean_vs_baseline", bench::GateRule::kAtMost,
+       1.01, wl_geomean},
+      {"quality", "ls_delay_geomean_vs_baseline", bench::GateRule::kAtMost, 1.01,
+       delay_geomean},
+  };
+  failures += bench::check_gates(args, smoke_gate, headline);
 
   FILE* out = std::fopen("BENCH_router.json", "w");
   if (!out) {
@@ -270,13 +291,15 @@ int main(int argc, char** argv) {
   bench::emit_summary(out, "router", reduction);
   std::fprintf(out,
                "  \"benchmark\": \"router\",\n  \"smoke\": %s,\n"
-               "  \"wmin_expansion_reduction\": %.2f,\n"
-               "  \"ls_wirelength_geomean_vs_baseline\": %.4f,\n"
-               "  \"ls_delay_geomean_vs_baseline\": %.4f,\n"
+               "  \"quality\": {\"wmin_expansion_reduction\": %.2f, "
+               "\"ls_wirelength_geomean_vs_baseline\": %.4f, "
+               "\"ls_delay_geomean_vs_baseline\": %.4f},\n",
+               smoke ? "true" : "false", reduction, wl_geomean, delay_geomean);
+  bench::write_smoke_gate(out, smoke_gate);
+  std::fprintf(out,
                "  \"note\": \"all counters are hardware-independent work "
                "(maze nodes expanded, heap ops); baseline reproduces the "
-               "pre-PR router configuration\",\n  \"circuits\": [\n",
-               smoke ? "true" : "false", reduction, wl_geomean, delay_geomean);
+               "pre-PR router configuration\",\n  \"circuits\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const CircuitResult& cr = results[i];
     std::fprintf(out, "    {\"num_logic\": %d, \"seed\": %llu, \"configs\": [\n",

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <queue>
 #include <stdexcept>
 #include <string>
@@ -34,46 +35,30 @@ FaninTreeEmbedder::FaninTreeEmbedder(const FaninTree& tree, const EmbeddingGraph
         kMaxFanin)
       throw std::invalid_argument("FaninTreeEmbedder: a tree node has more than " +
                                   std::to_string(kMaxFanin) + " children");
-  if (scratch_) {
-    // Adopt previously grown tables: the resize/clear dance below keeps the
-    // label-list capacities, so a warmed-up scratch makes table setup
-    // allocation-free for same-sized trees/regions.
-    a_ = std::move(scratch_->a);
-    spill_ = std::move(scratch_->spill);
-    spill_.clear();
-    stairs_ = std::move(scratch_->stairs);
-    merged_ = std::move(scratch_->merged);
-  }
-  a_.resize(tree_.size());
-  for (auto& per_vertex : a_) {
-    per_vertex.resize(graph_.num_vertices());
-    for (LabelList& list : per_vertex) {
-      list.key.clear();
-      list.cold.clear();
-      list.live = 0;
-    }
-  }
+  if (scratch_) mem_ = std::move(*scratch_);
   if (sweep_applies()) mesh_ = graph_.mesh();
 }
 
 FaninTreeEmbedder::~FaninTreeEmbedder() {
   if (scratch_) {
-    std::size_t bytes = a_.capacity() * sizeof(a_[0]);
-    for (const auto& per_vertex : a_) {
-      bytes += per_vertex.capacity() * sizeof(LabelList);
-      for (const LabelList& list : per_vertex)
-        bytes += list.key.capacity() * sizeof(LabelKey) +
-                 list.cold.capacity() * sizeof(LabelCold);
-    }
-    bytes += spill_.capacity() * sizeof(std::uint32_t);
-    for (const auto& s : stairs_) bytes += s.capacity() * sizeof(SweepLabel);
-    bytes += merged_.capacity() * sizeof(SweepLabel);
-    arena_record_peak(arena_counters().embed_scratch_bytes, bytes);
-    scratch_->a = std::move(a_);
-    scratch_->spill = std::move(spill_);
-    scratch_->stairs = std::move(stairs_);
-    scratch_->merged = std::move(merged_);
+    arena_record_peak(arena_counters().embed_scratch_bytes, mem_.capacity_bytes());
+    *scratch_ = std::move(mem_);
   }
+}
+
+std::size_t EmbedScratch::capacity_bytes() const {
+  std::size_t bytes = work.capacity() * sizeof(LabelList) +
+                      cold.capacity() * sizeof(LabelCold) +
+                      keys.capacity() * sizeof(LabelKey) +
+                      (offsets.capacity() + key_base.capacity() + spill.capacity()) *
+                          sizeof(std::uint32_t) +
+                      stairs.capacity() * sizeof(stairs[0]) +
+                      merged.capacity() * sizeof(SweepLabel);
+  for (const LabelList& list : work)
+    bytes += list.key.capacity() * sizeof(LabelKey) +
+             list.cold.capacity() * sizeof(LabelCold);
+  for (const auto& s : stairs) bytes += s.capacity() * sizeof(SweepLabel);
+  return bytes;
 }
 
 std::uint32_t FaninTreeEmbedder::insert_label(LabelList& list, const LabelKey& key,
@@ -135,9 +120,9 @@ double FaninTreeEmbedder::augment_delay_delta(std::int32_t stem_len,
   return opt_.stem_delay(stem_len + len) - opt_.stem_delay(stem_len);
 }
 
-void FaninTreeEmbedder::wavefront(TreeNodeId i) {
+void FaninTreeEmbedder::wavefront() {
   // Generalized Dijkstra (Fig. 6, GenDijkstra): multi-source expansion of all
-  // current labels of node i through the graph, keeping non-dominated
+  // current labels of the node through the graph, keeping non-dominated
   // signatures per vertex. Queue entries carry (cost, primary delay) and the
   // label's address; the whole delay vector is read from the table only when
   // both tie. Labels have n >= 1, so this orders entries exactly as comparing
@@ -148,7 +133,7 @@ void FaninTreeEmbedder::wavefront(TreeNodeId i) {
     EmbedVertexId vertex;
     std::uint32_t label;
   };
-  std::vector<LabelList>& lists = a_[i.index()];
+  std::vector<LabelList>& lists = mem_.work;
   auto later = [&lists](const QItem& x, const QItem& y) {
     if (x.cost != y.cost) return x.cost > y.cost;
     if (x.primary != y.primary) return x.primary > y.primary;
@@ -242,10 +227,11 @@ void FaninTreeEmbedder::merge_shifted(std::vector<SweepLabel>& dst,
   // (lexicographically). Walking them in (cost, delay) order, an entry is
   // dominated iff its delay is not below the last kept one. On a full tie
   // the entry already at the vertex goes first, so it survives.
-  merged_.clear();
-  auto keep = [this](const SweepLabel& x) {
-    if (merged_.empty() || x.key.delay.lex_compare(merged_.back().key.delay) < 0)
-      merged_.push_back(x);
+  std::vector<SweepLabel>& merged = mem_.merged;
+  merged.clear();
+  auto keep = [&merged](const SweepLabel& x) {
+    if (merged.empty() || x.key.delay.lex_compare(merged.back().key.delay) < 0)
+      merged.push_back(x);
   };
   auto shifted = [&](std::size_t k) {
     SweepLabel s = src[k];
@@ -275,26 +261,27 @@ void FaninTreeEmbedder::merge_shifted(std::vector<SweepLabel>& dst,
   // The max_labels rule of cap_list. Ranks rise with k, so the in-place
   // copy reads only entries not yet overwritten.
   const auto cap = static_cast<std::size_t>(opt_.max_labels);
-  if (cap > 0 && merged_.size() > 2 * cap) {
-    const std::size_t n = merged_.size();
-    for (std::size_t k = 0; k < cap; ++k) merged_[k] = merged_[capped_rank(k, n, cap)];
-    merged_.resize(cap);
+  if (cap > 0 && merged.size() > 2 * cap) {
+    const std::size_t n = merged.size();
+    for (std::size_t k = 0; k < cap; ++k) merged[k] = merged[capped_rank(k, n, cap)];
+    merged.resize(cap);
   }
-  dst.swap(merged_);
+  dst.swap(merged);
 }
 
-void FaninTreeEmbedder::sweep_wavefront(TreeNodeId i) {
+void FaninTreeEmbedder::sweep_wavefront() {
   // On the mesh every edge adds the same (cost, delay), so a label at u
   // reaches v as (C + c·d, D + t·d) with d the Manhattan distance: the
   // frontier after GenDijkstra is the L1 distance transform of the joined
   // labels, computed by a forward and a backward pass along every column,
   // then along every row.
-  std::vector<LabelList>& lists = a_[i.index()];
+  std::vector<LabelList>& lists = mem_.work;
+  std::vector<std::vector<SweepLabel>>& stairs = mem_.stairs;
   const std::size_t nv = lists.size();
   const EmbeddingGraph::Mesh& mesh = *mesh_;
-  stairs_.resize(nv);
+  stairs.resize(nv);
   for (std::size_t j = 0; j < nv; ++j) {
-    std::vector<SweepLabel>& s = stairs_[j];
+    std::vector<SweepLabel>& s = stairs[j];
     s.clear();
     const EmbedVertexId v(static_cast<EmbedVertexId::value_type>(j));
     for (std::uint32_t li = 0; li < lists[j].key.size(); ++li)
@@ -306,29 +293,29 @@ void FaninTreeEmbedder::sweep_wavefront(TreeNodeId i) {
   }
 
   for (std::size_t v = mesh.count; v < nv; ++v)
-    if (!stairs_[v].empty())
+    if (!stairs[v].empty())
       for (const EmbeddingGraph::Edge& e :
            graph_.edges_from(EmbedVertexId(static_cast<EmbedVertexId::value_type>(v))))
-        merge_shifted(stairs_[e.to.index()], stairs_[v], e.cost, e.delay);
+        merge_shifted(stairs[e.to.index()], stairs[v], e.cost, e.delay);
 
   const auto w = static_cast<std::size_t>(mesh.region.width());
   const auto h = static_cast<std::size_t>(mesh.region.height());
   auto line = [&](std::size_t first, std::size_t stride, std::size_t len) {
     for (std::size_t k = 1; k < len; ++k)
-      if (!stairs_[first + (k - 1) * stride].empty())
-        merge_shifted(stairs_[first + k * stride], stairs_[first + (k - 1) * stride],
+      if (!stairs[first + (k - 1) * stride].empty())
+        merge_shifted(stairs[first + k * stride], stairs[first + (k - 1) * stride],
                       mesh.cost_per_unit, mesh.delay_per_unit);
     for (std::size_t k = len - 1; k-- > 0;)
-      if (!stairs_[first + (k + 1) * stride].empty())
-        merge_shifted(stairs_[first + k * stride], stairs_[first + (k + 1) * stride],
+      if (!stairs[first + (k + 1) * stride].empty())
+        merge_shifted(stairs[first + k * stride], stairs[first + (k + 1) * stride],
                       mesh.cost_per_unit, mesh.delay_per_unit);
   };
   for (std::size_t x = 0; x < w; ++x) line(x, w, h);
   for (std::size_t y = 0; y < h; ++y) line(y * w, 1, w);
 
   for (const auto& [from, e] : spliced_in_)
-    if (!stairs_[from.index()].empty())
-      merge_shifted(stairs_[e.to.index()], stairs_[from.index()], e.cost, e.delay);
+    if (!stairs[from.index()].empty())
+      merge_shifted(stairs[e.to.index()], stairs[from.index()], e.cost, e.delay);
 
   // Write the final staircases back: a label already in the table survives
   // iff its own entry is still on the staircase; the others are appended in
@@ -336,9 +323,9 @@ void FaninTreeEmbedder::sweep_wavefront(TreeNodeId i) {
   for (std::size_t j = 0; j < nv; ++j) {
     LabelList& list = lists[j];
     for (LabelKey& k : list.key) k.dead = 1;
-    list.key.reserve(list.key.size() + stairs_[j].size());
+    list.key.reserve(list.key.size() + stairs[j].size());
     list.cold.reserve(list.key.capacity());
-    for (const SweepLabel& s : stairs_[j]) {
+    for (const SweepLabel& s : stairs[j]) {
       if (s.origin.index() == j) {
         list.key[s.origin_label].dead = 0;
         continue;
@@ -351,7 +338,7 @@ void FaninTreeEmbedder::sweep_wavefront(TreeNodeId i) {
       list.cold.push_back(cold);
       ++labels_created_;
     }
-    list.live = static_cast<std::uint32_t>(stairs_[j].size());
+    list.live = static_cast<std::uint32_t>(stairs[j].size());
   }
 }
 
@@ -363,10 +350,14 @@ void FaninTreeEmbedder::join_vertex_range(TreeNodeId i, std::size_t lo, std::siz
   const std::size_t fanin = node.children.size();
   assert(fanin <= kMaxFanin);
 
+  FrozenList kids[kMaxFanin];
   for (std::size_t jv = lo; jv < hi; ++jv) {
+    for (std::size_t k = 0; k < fanin; ++k) kids[k] = frozen(node.children[k], jv);
     // A child with no live label at j leaves nothing to join.
-    if (std::any_of(node.children.begin(), node.children.end(),
-                    [&](TreeNodeId c) { return a_[c.index()][jv].live == 0; }))
+    if (std::any_of(kids, kids + fanin, [](const FrozenList& l) {
+          return std::all_of(l.key, l.key + l.size,
+                             [](const LabelKey& k) { return k.dead; });
+        }))
       continue;
     EmbedVertexId j(static_cast<EmbedVertexId::value_type>(jv));
     // Forbidden locations (blocked slots, wrong resource type) are modeled
@@ -382,11 +373,11 @@ void FaninTreeEmbedder::join_vertex_range(TreeNodeId i, std::size_t lo, std::siz
     partials.clear();
     partials.push_back(PartialJoin{});
     for (std::size_t depth = 0; depth < fanin; ++depth) {
-      const LabelList& child_labels = a_[node.children[depth].index()][jv];
+      const FrozenList& child_labels = kids[depth];
       std::vector<PartialJoin>& next = wb.next;
       next.clear();
       for (const PartialJoin& p : partials) {
-        for (std::uint32_t li = 0; li < child_labels.key.size(); ++li) {
+        for (std::uint32_t li = 0; li < child_labels.size; ++li) {
           const LabelKey& cl = child_labels.key[li];
           if (cl.dead) continue;
           PartialJoin np;
@@ -433,7 +424,7 @@ void FaninTreeEmbedder::join_vertex_range(TreeNodeId i, std::size_t lo, std::siz
       std::swap(partials, next);
     }
 
-    LabelList& out = a_[i.index()][jv];
+    LabelList& out = mem_.work[jv];
     for (const PartialJoin& p : partials) {
       if (opt_.overlap_avoidance && p.sum_branch_bits > opt_.branch_capacity - 1)
         continue;  // Section II-A: joining branching solutions overlaps
@@ -474,7 +465,7 @@ void FaninTreeEmbedder::join_node(TreeNodeId i, bool root_mode) {
       return;
     }
     join_vertex_range(i, only_vertex.index(), only_vertex.index() + 1, buffers_,
-                      spill_, labels_created_);
+                      mem_.spill, labels_created_);
     return;
   }
 
@@ -482,12 +473,12 @@ void FaninTreeEmbedder::join_node(TreeNodeId i, bool root_mode) {
   ThreadPool* pool = opt_.pool;
   if (!pool || pool->num_workers() == 0 ||
       nv < static_cast<std::size_t>(opt_.parallel_min_vertices)) {
-    join_vertex_range(i, 0, nv, buffers_, spill_, labels_created_);
+    join_vertex_range(i, 0, nv, buffers_, mem_.spill, labels_created_);
     return;
   }
 
-  // Parallel join: the A[i][*] columns only read the children's (finished)
-  // tables, so contiguous vertex chunks are processed concurrently. Each
+  // Parallel join: the A[i][*] columns only read the children's frozen
+  // lists, so contiguous vertex chunks are processed concurrently. Each
   // chunk appends >2-child provenance to its own arena; arenas are appended
   // to the spill pool in chunk (= vertex) order with the offsets rebased, so
   // the spill pool layout — and every label bit — matches the serial
@@ -504,23 +495,59 @@ void FaninTreeEmbedder::join_node(TreeNodeId i, bool root_mode) {
     join_vertex_range(i, lo, hi, wb, arenas[c], created[c]);
   });
   for (std::size_t c = 0; c < nchunks; ++c) {
-    const auto base = static_cast<std::int32_t>(spill_.size());
+    const auto base = static_cast<std::int32_t>(mem_.spill.size());
     if (base > 0 && !arenas[c].empty()) {
       const std::size_t lo = c * grain;
       const std::size_t hi = std::min(nv, lo + grain);
       for (std::size_t jv = lo; jv < hi; ++jv)
-        for (LabelCold& l : a_[i.index()][jv].cold)
+        for (LabelCold& l : mem_.work[jv].cold)
           if (l.prov.kind == Provenance::Kind::kJoin && l.prov.spill_index >= 0)
             l.prov.spill_index += base;
     }
-    spill_.insert(spill_.end(), arenas[c].begin(), arenas[c].end());
+    mem_.spill.insert(mem_.spill.end(), arenas[c].begin(), arenas[c].end());
     labels_created_ += created[c];
   }
 }
 
+FaninTreeEmbedder::FrozenList FaninTreeEmbedder::frozen(TreeNodeId i,
+                                                        std::size_t j) const {
+  const std::uint32_t* row = offsets_row(i);
+  return FrozenList{mem_.keys.data() + mem_.key_base[i.index()] + (row[j] - row[0]),
+                    mem_.cold.data() + row[j], row[j + 1] - row[j]};
+}
+
+void FaninTreeEmbedder::freeze(TreeNodeId i) {
+  if (check_frontiers_ && !working_lists_are_antichains()) frontiers_ok_ = false;
+  const std::size_t nv = mem_.work.size();
+  std::uint32_t* row = mem_.offsets.data() + i.index() * (nv + 1);
+  mem_.key_base[i.index()] = static_cast<std::uint32_t>(mem_.keys.size());
+  for (std::size_t j = 0; j < nv; ++j) {
+    LabelList& list = mem_.work[j];
+    row[j] = static_cast<std::uint32_t>(mem_.cold.size());
+    mem_.keys.insert(mem_.keys.end(), list.key.begin(), list.key.end());
+    mem_.cold.insert(mem_.cold.end(), list.cold.begin(), list.cold.end());
+    list.clear();
+  }
+  if (mem_.cold.size() > std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error("FaninTreeEmbedder: more than 2^32 labels in one embedding");
+  row[nv] = static_cast<std::uint32_t>(mem_.cold.size());
+}
+
 bool FaninTreeEmbedder::run() {
-  ran_ = true;
-  // Bottom-up over the tree (ComputeSubTree).
+  // A fresh arena that keeps the capacities grown so far.
+  const std::size_t nv = graph_.num_vertices();
+  mem_.work.resize(nv);
+  for (LabelList& list : mem_.work) list.clear();
+  mem_.cold.clear();
+  mem_.keys.clear();
+  mem_.spill.clear();
+  mem_.offsets.resize(tree_.size() * (nv + 1));
+  mem_.key_base.resize(tree_.size());
+  frontiers_ok_ = true;
+
+  // Bottom-up over the tree (ComputeSubTree). Node i's keys are read only by
+  // its own wavefront and by its parent's join, and in post-order the
+  // children of i are the nodes on top of the key stack when i is joined.
   for (TreeNodeId i : tree_.post_order()) {
     const FaninTreeNode& node = tree_.node(i);
     const bool is_root = (i == tree_.root());
@@ -541,29 +568,32 @@ bool FaninTreeEmbedder::run() {
         key.delay = DelayVec::single(node.leaf_arrival);
       }
       key.branching = 1;
-      insert_label(a_[i.index()][v.index()], key, cold, buffers_, labels_created_);
+      insert_label(mem_.work[v.index()], key, cold, buffers_, labels_created_);
     } else {
       join_node(i, is_root);
+      mem_.keys.resize(mem_.key_base[node.children.front().index()]);
     }
     if (!is_root) {
       if (mesh_)
-        sweep_wavefront(i);
+        sweep_wavefront();
       else
-        wavefront(i);
+        wavefront();
     }
+    freeze(i);
   }
 
   // Collect the root trade-off curve (AugmentRoot / final selection).
   tradeoff_.clear();
-  const auto& root_lists = a_[tree_.root().index()];
-  for (std::size_t jv = 0; jv < root_lists.size(); ++jv)
-    for (std::uint32_t li = 0; li < root_lists[jv].key.size(); ++li) {
-      const LabelKey& k = root_lists[jv].key[li];
+  for (std::size_t jv = 0; jv < nv; ++jv) {
+    const FrozenList root = frozen(tree_.root(), jv);
+    for (std::uint32_t li = 0; li < root.size; ++li) {
+      const LabelKey& k = root.key[li];
       if (k.dead) continue;
       tradeoff_.push_back(RootSolution{
           EmbedVertexId(static_cast<EmbedVertexId::value_type>(jv)), li, k.cost,
           k.delay});
     }
+  }
   std::sort(tradeoff_.begin(), tradeoff_.end(), [](const RootSolution& x,
                                                    const RootSolution& y) {
     if (x.cost != y.cost) return x.cost < y.cost;
@@ -572,19 +602,18 @@ bool FaninTreeEmbedder::run() {
   return !tradeoff_.empty();
 }
 
-bool FaninTreeEmbedder::frontiers_are_antichains() const {
-  for (const auto& per_vertex : a_)
-    for (const LabelList& list : per_vertex) {
-      std::uint32_t live = 0;
-      for (const LabelKey& x : list.key) {
-        if (x.dead) continue;
-        ++live;
-        for (const LabelKey& y : list.key)
-          if (&x != &y && !y.dead && dominates(x, y, x.delay.lex_compare(y.delay)))
-            return false;
-      }
-      if (live != list.live) return false;
+bool FaninTreeEmbedder::working_lists_are_antichains() const {
+  for (const LabelList& list : mem_.work) {
+    std::uint32_t live = 0;
+    for (const LabelKey& x : list.key) {
+      if (x.dead) continue;
+      ++live;
+      for (const LabelKey& y : list.key)
+        if (&x != &y && !y.dead && dominates(x, y, x.delay.lex_compare(y.delay)))
+          return false;
     }
+    if (live != list.live) return false;
+  }
   return true;
 }
 
@@ -620,7 +649,8 @@ TreeEmbedding FaninTreeEmbedder::extract(int tradeoff_index) const {
   while (!stack.empty()) {
     Frame f = stack.back();
     stack.pop_back();
-    const Provenance& prov = a_[f.node.index()][f.vertex.index()].cold[f.label].prov;
+    const Provenance& prov =
+        mem_.cold[offsets_row(f.node)[f.vertex.index()] + f.label].prov;
     switch (prov.kind) {
       case Provenance::Kind::kInitial:
         out.set(f.node, f.vertex);
@@ -632,7 +662,7 @@ TreeEmbedding FaninTreeEmbedder::extract(int tradeoff_index) const {
         out.set(f.node, f.vertex);
         const FaninTreeNode& node = tree_.node(f.node);
         const std::uint32_t* child_idx = prov.spill_index >= 0
-                                             ? spill_.data() + prov.spill_index
+                                             ? mem_.spill.data() + prov.spill_index
                                              : prov.child_labels_inline;
         for (std::size_t k = 0; k < node.children.size(); ++k)
           stack.push_back(Frame{node.children[k], f.vertex, child_idx[k]});

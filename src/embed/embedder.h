@@ -63,14 +63,21 @@ struct EmbedOptions {
   int parallel_min_vertices = 96;
 };
 
-/// One frontier A[i][j]: the labels of subtree i driven from vertex j, split
-/// into a hot key array, which the dominance scan walks, and a cold array
-/// with the provenance; cold[k] belongs to key[k]. The live keys form an
-/// antichain: none dominates another (docs/ALGORITHMS.md §1).
+/// One frontier A[i][j] of the node being processed: the labels of subtree i
+/// driven from vertex j, split into a hot key array, which the dominance scan
+/// walks, and a cold array with the provenance; cold[k] belongs to key[k].
+/// The live keys form an antichain: none dominates another
+/// (docs/ALGORITHMS.md §1).
 struct LabelList {
   std::vector<LabelKey> key;
   std::vector<LabelCold> cold;
   std::uint32_t live = 0;  ///< keys with dead == 0
+
+  void clear() {
+    key.clear();
+    cold.clear();
+    live = 0;
+  }
 };
 
 /// One entry of a mesh-sweep staircase: a label's key and the unshifted label
@@ -81,19 +88,38 @@ struct SweepLabel {
   std::uint32_t origin_label;
 };
 
-/// Reusable embedder storage. Constructing a FaninTreeEmbedder with a
-/// scratch adopts the previously grown A[i][j] tables, label-list
-/// capacities and spill pools, and the destructor returns them, so a loop
-/// that embeds one tree per iteration (the replication engine — one
-/// embedder per sink) stops paying the allocation churn after warm-up.
-/// One scratch must serve at most one live embedder at a time; the engine
-/// keeps one per thread, so concurrent service jobs never share one.
+/// The embedder's label arena (docs/ALGORITHMS.md §1, "Label store"). Only
+/// the node being processed has growable per-vertex lists; when the node is
+/// done they are frozen: the cold halves are appended to one arena
+/// that extraction reads, the keys are pushed onto a stack that lives only
+/// until the parent's join, and a per-node row of CSR offsets locates both.
+/// Passing a scratch to FaninTreeEmbedder adopts the capacities an earlier
+/// embedding grew, and the destructor returns them, so a loop that embeds
+/// one tree per iteration (the replication engine — one embedder per sink)
+/// stops allocating after warm-up. One scratch must serve at most one live
+/// embedder at a time; the engine keeps one per thread.
 struct EmbedScratch {
-  std::vector<std::vector<LabelList>> a;
+  /// The working lists: A[i][*] of the node being processed.
+  std::vector<LabelList> work;
+  /// Cold halves of every frozen node, in post-order, per node by vertex.
+  std::vector<LabelCold> cold;
+  /// Keys of the frozen nodes whose parent is not yet joined, laid out as in
+  /// `cold`. In post-order these nodes form a stack.
+  std::vector<LabelKey> keys;
+  /// Row i (num_vertices + 1 entries): index in `cold` of label 0 of each
+  /// A[i][j], then the end of node i's labels.
+  std::vector<std::uint32_t> offsets;
+  /// Index in `keys` of node i's first key (valid while i is stacked).
+  std::vector<std::uint32_t> key_base;
+  /// Child label indices of joins with more than two children, contiguous
+  /// from each label's Provenance::spill_index.
   std::vector<std::uint32_t> spill;
   /// The mesh sweep's per-vertex staircases and its merge buffer.
   std::vector<std::vector<SweepLabel>> stairs;
   std::vector<SweepLabel> merged;
+
+  /// Bytes of capacity held, for arena_counters().embed_scratch_bytes.
+  std::size_t capacity_bytes() const;
 };
 
 /// One entry of the root trade-off curve.
@@ -148,11 +174,13 @@ class FaninTreeEmbedder {
 
   /// Diagnostics.
   std::size_t labels_created() const { return labels_created_; }
-  /// Debugging check, O(n^2) per frontier and never called by the DP: true
-  /// if no live label in any A[i][j] dominates another live label there and
-  /// every list's live count is right. insert_label's one-walk scan is exact
-  /// only under this invariant.
-  bool frontiers_are_antichains() const;
+  /// Test hook, called before run(): makes run() check each node's final
+  /// frontier as it is frozen, in O(n^2) per frontier.
+  void check_frontiers() { check_frontiers_ = true; }
+  /// True if check_frontiers() was called before run() and, in every A[i][j]
+  /// frozen since, no live label dominates another and the live count is
+  /// right. insert_label's one-walk scan is exact only under this invariant.
+  bool frontiers_are_antichains() const { return check_frontiers_ && frontiers_ok_; }
 
  private:
   static constexpr std::uint32_t kRejected = ~std::uint32_t{0};
@@ -191,8 +219,9 @@ class FaninTreeEmbedder {
   /// and the graph is a make_grid mesh whose extra vertices each hang off
   /// one mesh vertex, with no negative edge. Fills spliced_in_.
   bool sweep_applies();
-  void wavefront(TreeNodeId i);
-  void sweep_wavefront(TreeNodeId i);
+  /// The wavefront of the node being processed, on the working lists.
+  void wavefront();
+  void sweep_wavefront();
   /// Merges the non-empty staircase `src`, shifted by one edge, into the
   /// staircase `dst`.
   void merge_shifted(std::vector<SweepLabel>& dst, const std::vector<SweepLabel>& src,
@@ -200,11 +229,30 @@ class FaninTreeEmbedder {
   void join_node(TreeNodeId i, bool root_mode);
   /// Joins node i at every vertex in [lo, hi), appending >2-child provenance
   /// to `spill` with offsets local to it, and counting new labels in
-  /// `created`. Writes only A[i][lo..hi) — safe to run ranges concurrently.
+  /// `created`. Reads the children's frozen lists and writes only the
+  /// working lists lo..hi — safe to run ranges concurrently.
   void join_vertex_range(TreeNodeId i, std::size_t lo, std::size_t hi,
                          WorkBuffers& wb, std::vector<std::uint32_t>& spill,
                          std::size_t& created);
   double augment_delay_delta(std::int32_t stem_len, double edge_delay_or_len) const;
+
+  /// A frozen A[i][j]: `size` labels, keys at `key` (only while i is
+  /// stacked) and cold halves at `cold`.
+  struct FrozenList {
+    const LabelKey* key = nullptr;
+    const LabelCold* cold = nullptr;
+    std::uint32_t size = 0;
+  };
+  FrozenList frozen(TreeNodeId i, std::size_t j) const;
+  /// Node i's row of mem_.offsets.
+  const std::uint32_t* offsets_row(TreeNodeId i) const {
+    return mem_.offsets.data() + i.index() * (graph_.num_vertices() + 1);
+  }
+  /// Moves the working lists into the arena as node i's frozen lists and
+  /// clears them.
+  void freeze(TreeNodeId i);
+  /// The frontier check of check_frontiers() on the working lists.
+  bool working_lists_are_antichains() const;
 
   const FaninTree& tree_;
   const EmbeddingGraph& graph_;
@@ -213,13 +261,11 @@ class FaninTreeEmbedder {
   bool stem_delay_ = false;  ///< opt_.stem_delay is set
   EmbedScratch* scratch_ = nullptr;
 
-  /// A[i][j]: labels for subtree i driven from vertex j. Branching labels
-  /// (initial / join) and augmented labels share the list; the branching
-  /// flag distinguishes them.
-  std::vector<std::vector<LabelList>> a_;
-  /// Spill pool for join provenance with > 2 children: each such label's
-  /// child indices, contiguous from its Provenance::spill_index.
-  std::vector<std::uint32_t> spill_;
+  /// The label arena: the working lists A[i][*] of the node being
+  /// processed, the frozen nodes and the spill pool. Branching labels
+  /// (initial / join) and augmented labels share a list; the branching flag
+  /// distinguishes them.
+  EmbedScratch mem_;
   /// Buffers of the serial phases (wavefront, serial join).
   WorkBuffers buffers_;
 
@@ -227,12 +273,11 @@ class FaninTreeEmbedder {
   const EmbeddingGraph::Mesh* mesh_ = nullptr;
   /// Edges from mesh vertices to the extra vertices hanging off them.
   std::vector<std::pair<EmbedVertexId, EmbeddingGraph::Edge>> spliced_in_;
-  std::vector<std::vector<SweepLabel>> stairs_;
-  std::vector<SweepLabel> merged_;
 
   std::vector<RootSolution> tradeoff_;
   std::size_t labels_created_ = 0;
-  bool ran_ = false;
+  bool check_frontiers_ = false;
+  bool frontiers_ok_ = true;
 };
 
 }  // namespace repro

@@ -163,6 +163,7 @@ TEST(Elmore, DominanceKeepsIncomparableTriples) {
   tree.set_root(t, {3, 3});
   FaninTreeEmbedder e(
       tree, g, [](TreeNodeId, EmbedVertexId) { return 1.0; }, elmore_options(m));
+  e.check_frontiers();
   ASSERT_TRUE(e.run());
   EXPECT_TRUE(e.frontiers_are_antichains());
   ASSERT_FALSE(e.tradeoff().empty());
@@ -299,6 +300,7 @@ void expect_root_curve_matches_brute_force(std::uint64_t seed) {
       ec.tree, g,
       [&ec](TreeNodeId i, EmbedVertexId j) { return ec.pcost[i.index()][j.index()]; },
       elmore_options(ec.m));
+  e.check_frontiers();
   ASSERT_TRUE(e.run());
   EXPECT_TRUE(e.frontiers_are_antichains());
   const std::vector<CostDelay> front = brute_force_front(ec, g);

@@ -163,6 +163,7 @@ TEST_P(EmbedderVsBruteForce, ParetoFrontsMatch2D) {
       rc.tree, g,
       [&rc](TreeNodeId i, EmbedVertexId j) { return rc.pcost[i.index()][j.index()]; },
       EmbedOptions{});
+  e.check_frontiers();
   ASSERT_TRUE(e.run());
   EXPECT_TRUE(e.frontiers_are_antichains());
   auto front = pareto(brute_force(rc, g, 1));
@@ -185,6 +186,7 @@ TEST_P(EmbedderVsBruteForce, ParetoFrontsMatchLex3) {
       rc.tree, g,
       [&rc](TreeNodeId i, EmbedVertexId j) { return rc.pcost[i.index()][j.index()]; },
       opt);
+  e.check_frontiers();
   ASSERT_TRUE(e.run());
   EXPECT_TRUE(e.frontiers_are_antichains());
   auto front = pareto(brute_force(rc, g, 3));
@@ -450,6 +452,7 @@ std::string run_golden(const std::string& graph_name, const GoldenConfig& cfg,
       gc.tree, gc.graph,
       [&gc](TreeNodeId i, EmbedVertexId j) { return gc.pcost[i.index()][j.index()]; },
       opt);
+  e.check_frontiers();
   if (!e.run()) return "no solution";
   // The one-walk label insert is exact only if every frontier stays an
   // antichain.
@@ -627,6 +630,7 @@ SweepRun run_mesh_case(const MeshCase& mc, const EmbeddingGraph& g, int lex,
   opt.lex_order = lex;
   FaninTreeEmbedder e(mc.tree, g, pcost, opt);
   SweepRun out;
+  e.check_frontiers();
   if (!e.run()) return out;
   EXPECT_TRUE(e.frontiers_are_antichains());
   out.curve = curve_bits(e);

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <thread>
 
 #include "arch/delay_model.h"
 #include "arch/fpga_grid.h"
@@ -28,6 +29,7 @@
 #include "timing/monotone.h"
 #include "timing/spt.h"
 #include "timing/timing_graph.h"
+#include "util/stats.h"
 
 namespace repro {
 namespace {
@@ -185,6 +187,28 @@ TEST_P(GoldenTrajectory, BitIdenticalToPreRefactorBuild) {
 INSTANTIATE_TEST_SUITE_P(Circuits, GoldenTrajectory,
                          ::testing::ValuesIn(kGoldens),
                          [](const auto& info) { return info.param.circuit; });
+
+// ---- embedder label arena ------------------------------------------------
+
+TEST(EmbedArena, Ex5pLex3HoldsOnlyTheUnjoinedKeys) {
+  // The embedder keeps keys only until the parent's join and the cold halves
+  // in one flat arena (docs/ALGORITHMS.md §1, "Label store"). Capacities are
+  // deterministic, so this pins the arena's peak: per-(node, vertex) lists
+  // took 36728844 bytes here, the arena 6225836. A fresh thread starts with
+  // an empty thread-local engine scratch, whatever ran before in this process.
+  constexpr std::uint64_t kMeasuredBytes = 6225836;
+  arena_counters().reset();
+  std::thread([] {
+    Placed p("ex5p", 0.10, golden_annealer_options());
+    EngineOptions eopt;
+    eopt.variant = EmbedVariant::kLex3;
+    eopt.num_threads = 1;
+    run_replication_engine(p.nl, p.pl, p.dm, eopt);
+  }).join();
+  const std::uint64_t bytes = arena_counters().embed_scratch_bytes.load();
+  EXPECT_GT(bytes, 0u);
+  EXPECT_LE(bytes, kMeasuredBytes + kMeasuredBytes / 4) << bytes << " bytes";
+}
 
 // ---- generator at scale --------------------------------------------------
 
