@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
 #include <limits>
 #include <queue>
 #include <stdexcept>
@@ -37,6 +38,7 @@ FaninTreeEmbedder::FaninTreeEmbedder(const FaninTree& tree, const EmbeddingGraph
                                   std::to_string(kMaxFanin) + " children");
   if (scratch_) mem_ = std::move(*scratch_);
   if (sweep_applies()) mesh_ = graph_.mesh();
+  if (implicit_leaves_) leaves_.resize(tree_.size());
 }
 
 FaninTreeEmbedder::~FaninTreeEmbedder() {
@@ -47,11 +49,12 @@ FaninTreeEmbedder::~FaninTreeEmbedder() {
 }
 
 std::size_t EmbedScratch::capacity_bytes() const {
-  std::size_t bytes = work.capacity() * sizeof(LabelList) +
-                      cold.capacity() * sizeof(LabelCold) +
+  std::size_t bytes = work.capacity() * sizeof(LabelList) + cold.capacity_bytes() +
                       keys.capacity() * sizeof(LabelKey) +
-                      (offsets.capacity() + key_base.capacity() + spill.capacity()) *
+                      (key_index.capacity() + key_offsets.capacity() + offsets.capacity() +
+                       row.capacity() + key_row.capacity()) *
                           sizeof(std::uint32_t) +
+                      leaf_steps.capacity() * sizeof(LeafStep) + spill.capacity_bytes() +
                       stairs.capacity() * sizeof(stairs[0]) +
                       merged.capacity() * sizeof(SweepLabel);
   for (const LabelList& list : work)
@@ -195,28 +198,39 @@ bool FaninTreeEmbedder::sweep_applies() {
   // extra vertex; then no shortest path passes through it, and relaxing it
   // into the mesh before the sweep and out of it after is exact.
   const std::size_t nv = graph_.num_vertices();
-  std::vector<EmbedVertexId> anchor(nv - mesh->count, EmbedVertexId::invalid());
-  auto attach = [&](std::size_t extra, EmbedVertexId to) {
-    EmbedVertexId& a = anchor[extra - mesh->count];
-    if (a.valid() && a != to) return false;
-    a = to;
-    return true;
+  splices_.assign(nv - mesh->count, Splice{});
+  auto attach = [&](std::size_t extra, EmbedVertexId to) -> Splice* {
+    Splice& s = splices_[extra - mesh->count];
+    if (s.anchor >= 0 && s.anchor != static_cast<std::int32_t>(to.index())) return nullptr;
+    s.anchor = static_cast<std::int32_t>(to.index());
+    return &s;
   };
+  auto count = [](std::uint8_t& n) { n = static_cast<std::uint8_t>(std::min(n + 1, 2)); };
   spliced_in_.clear();
   for (std::size_t v = 0; v < nv; ++v) {
     const EmbedVertexId from(static_cast<EmbedVertexId::value_type>(v));
     for (const EmbeddingGraph::Edge& e : graph_.edges_from(from)) {
       if (!non_negative(e.cost, e.delay)) return false;
       const bool extra_to = e.to.index() >= mesh->count;
+      Splice* s = nullptr;
       if (v < mesh->count) {
         if (!extra_to) continue;  // a mesh edge
-        if (!attach(e.to.index(), from)) return false;
+        if (!(s = attach(e.to.index(), from))) return false;
         spliced_in_.emplace_back(from, e);
-      } else if (extra_to || !attach(v, e.to)) {
-        return false;
+        s->in = e;
+        count(s->num_in);
+      } else {
+        if (extra_to || !(s = attach(v, e.to))) return false;
+        s->out = e;
+        count(s->num_out);
       }
     }
   }
+  // Two edges between an extra vertex and its anchor can leave two labels
+  // of one leaf at a vertex; such a graph keeps the stored leaves.
+  implicit_leaves_ = std::all_of(splices_.begin(), splices_.end(), [](const Splice& s) {
+    return s.num_in <= 1 && s.num_out <= 1;
+  });
   return true;
 }
 
@@ -227,8 +241,37 @@ void FaninTreeEmbedder::merge_shifted(std::vector<SweepLabel>& dst,
   // (lexicographically). Walking them in (cost, delay) order, an entry is
   // dominated iff its delay is not below the last kept one. On a full tie
   // the entry already at the vertex goes first, so it survives.
+  ++counters_.sweep_merges;
+  // First find, reading only, the first shifted entry that survives. Until
+  // one does, every dst entry is kept, so the last kept one is dst[a - 1].
+  // The shift is added on the fly, as shifted() below adds it.
+  auto compare_shifted = [delay](const DelayVec& x, const DelayVec& s) {
+    const int m = std::min<int>(x.n, s.n);
+    for (int k = 0; k < m; ++k) {
+      const double sk = s.v[k] + delay;
+      if (x.v[k] < sk) return -1;
+      if (x.v[k] > sk) return 1;
+    }
+    return (x.n > s.n) - (x.n < s.n);
+  };
+  std::size_t a = 0;
+  std::size_t b = 0;
+  for (; b < src.size(); ++b) {
+    const double c = src[b].key.cost + cost;
+    while (a < dst.size() &&
+           (dst[a].key.cost < c ||
+            (dst[a].key.cost == c && compare_shifted(dst[a].key.delay, src[b].key.delay) <= 0)))
+      ++a;
+    if (a == 0 || compare_shifted(dst[a - 1].key.delay, src[b].key.delay) > 0) break;
+  }
+  if (b == src.size()) {
+    ++counters_.sweep_merges_unchanged;
+    cap_staircase(dst);
+    return;
+  }
+
   std::vector<SweepLabel>& merged = mem_.merged;
-  merged.clear();
+  merged.assign(dst.begin(), dst.begin() + static_cast<std::ptrdiff_t>(a));
   auto keep = [&merged](const SweepLabel& x) {
     if (merged.empty() || x.key.delay.lex_compare(merged.back().key.delay) < 0)
       merged.push_back(x);
@@ -240,9 +283,7 @@ void FaninTreeEmbedder::merge_shifted(std::vector<SweepLabel>& dst,
     s.key.branching = 0;
     return s;
   };
-  std::size_t a = 0;
-  std::size_t b = 0;
-  SweepLabel next = shifted(0);
+  SweepLabel next = shifted(b);
   while (true) {
     const bool take_dst =
         a < dst.size() &&
@@ -258,15 +299,19 @@ void FaninTreeEmbedder::merge_shifted(std::vector<SweepLabel>& dst,
     next = shifted(b);
   }
   while (a < dst.size()) keep(dst[a++]);
+  cap_staircase(merged);
+  dst.swap(merged);
+}
+
+void FaninTreeEmbedder::cap_staircase(std::vector<SweepLabel>& s) const {
   // The max_labels rule of cap_list. Ranks rise with k, so the in-place
   // copy reads only entries not yet overwritten.
   const auto cap = static_cast<std::size_t>(opt_.max_labels);
-  if (cap > 0 && merged.size() > 2 * cap) {
-    const std::size_t n = merged.size();
-    for (std::size_t k = 0; k < cap; ++k) merged[k] = merged[capped_rank(k, n, cap)];
-    merged.resize(cap);
+  if (cap > 0 && s.size() > 2 * cap) {
+    const std::size_t n = s.size();
+    for (std::size_t k = 0; k < cap; ++k) s[k] = s[capped_rank(k, n, cap)];
+    s.resize(cap);
   }
-  dst.swap(merged);
 }
 
 void FaninTreeEmbedder::sweep_wavefront() {
@@ -316,49 +361,127 @@ void FaninTreeEmbedder::sweep_wavefront() {
   for (const auto& [from, e] : spliced_in_)
     if (!stairs[from.index()].empty())
       merge_shifted(stairs[e.to.index()], stairs[from.index()], e.cost, e.delay);
+}
 
-  // Write the final staircases back: a label already in the table survives
-  // iff its own entry is still on the staircase; the others are appended in
-  // cost order, pointing straight at the label they were shifted from.
-  for (std::size_t j = 0; j < nv; ++j) {
-    LabelList& list = lists[j];
-    for (LabelKey& k : list.key) k.dead = 1;
-    list.key.reserve(list.key.size() + stairs[j].size());
-    list.cold.reserve(list.key.capacity());
-    for (const SweepLabel& s : stairs[j]) {
-      if (s.origin.index() == j) {
-        list.key[s.origin_label].dead = 0;
-        continue;
-      }
-      LabelCold cold;
-      cold.prov.kind = Provenance::Kind::kAugment;
-      cold.prov.from = s.origin;
-      cold.prov.pred_label = s.origin_label;
-      list.key.push_back(s.key);
-      list.cold.push_back(cold);
+bool FaninTreeEmbedder::make_implicit_leaf(TreeNodeId i) {
+  // The sweep would give the leaf's label (0, a) at its vertex and, at
+  // every other vertex, the one label it reaches there: over the edge to
+  // the anchor if the leaf is spliced, then over d mesh edges, then over
+  // the edge into a spliced target. A label that went further is never
+  // cheaper or faster, and repeated addition is monotone, so the survivor
+  // carries the bits of the shortest route. The table repeats the sweep's
+  // additions in its order.
+  const FaninTreeNode& node = tree_.node(i);
+  const EmbedVertexId v = graph_.vertex_at(node.fixed_loc);
+  if (!v.valid()) return false;
+  const EmbeddingGraph::Mesh& mesh = *mesh_;
+  ImplicitLeaf& leaf = leaves_[i.index()];
+  leaf = ImplicitLeaf{v};
+  leaf.steps = static_cast<std::uint32_t>(mem_.leaf_steps.size());
+  ++counters_.implicit_leaves;
+  LeafStep step{0.0, node.leaf_arrival};
+  std::size_t source = v.index();
+  std::size_t created = mesh.count + spliced_in_.size();
+  if (source >= mesh.count) {
+    const Splice& s = splices_[source - mesh.count];
+    if (s.num_out == 0) {
       ++labels_created_;
+      return true;
     }
-    list.live = static_cast<std::uint32_t>(stairs[j].size());
+    step.cost += s.out.cost;
+    step.delay += s.out.delay;
+    source = static_cast<std::size_t>(s.anchor);
+    created += 1 - s.num_in;
   }
+  labels_created_ += created;
+  const auto w = static_cast<std::size_t>(mesh.region.width());
+  leaf.source_x = static_cast<std::int32_t>(source % w);
+  leaf.source_y = static_cast<std::int32_t>(source / w);
+  const auto max_d = static_cast<std::size_t>(mesh.region.width() + mesh.region.height() - 2);
+  for (std::size_t d = 0; d <= max_d; ++d) {
+    mem_.leaf_steps.push_back(step);
+    step.cost += mesh.cost_per_unit;
+    step.delay += mesh.delay_per_unit;
+  }
+  return true;
+}
+
+FaninTreeEmbedder::LeafReach FaninTreeEmbedder::leaf_reach(std::size_t jv) const {
+  LeafReach r;
+  if (!implicit_leaves_) return r;
+  std::size_t at = jv;
+  if (jv >= mesh_->count) {
+    r.via = &splices_[jv - mesh_->count];
+    if (r.via->num_in == 0) return r;
+    at = static_cast<std::size_t>(r.via->anchor);
+  }
+  const auto w = static_cast<std::size_t>(mesh_->region.width());
+  r.x = static_cast<std::int32_t>(at % w);
+  r.y = static_cast<std::int32_t>(at / w);
+  return r;
+}
+
+bool FaninTreeEmbedder::implicit_leaf_label(TreeNodeId c, std::size_t jv,
+                                            const LeafReach& reach, LabelKey& key) const {
+  const ImplicitLeaf& leaf = leaves_[c.index()];
+  key = LabelKey{};
+  if (leaf.vertex.index() == jv) {
+    key.delay = DelayVec::single(tree_.node(c).leaf_arrival);
+    key.branching = 1;
+    return true;
+  }
+  if (reach.x < 0 || leaf.source_x < 0) return false;
+  const LeafStep& step =
+      mem_.leaf_steps[leaf.steps + static_cast<std::uint32_t>(std::abs(reach.x - leaf.source_x) +
+                                                              std::abs(reach.y - leaf.source_y))];
+  key.cost = step.cost;
+  key.delay = DelayVec::single(step.delay);
+  if (reach.via) {
+    key.cost += reach.via->in.cost;
+    key.delay.v[0] += reach.via->in.delay;
+  }
+  return true;
 }
 
 void FaninTreeEmbedder::join_vertex_range(TreeNodeId i, std::size_t lo, std::size_t hi,
                                           WorkBuffers& wb,
                                           std::vector<std::uint32_t>& spill,
-                                          std::size_t& created) {
+                                          std::size_t spill_base, std::size_t& created,
+                                          EmbedCounters& work) {
   const FaninTreeNode& node = tree_.node(i);
   const std::size_t fanin = node.children.size();
   assert(fanin <= kMaxFanin);
+  // Without Lex-mc and branching bits, partials compare by (cost, lex
+  // delay), and candidates that another candidate strictly dominates can be
+  // skipped unbuilt (docs/ALGORITHMS.md §1, "Skipped candidates").
+  const bool skip_dominated = !opt_.lex_mc && !opt_.overlap_avoidance;
+  // Without branching bits the partials compare by (cost, lex delay) also
+  // under Lex-mc and stem delay, so their prune is a staircase search.
+  const bool staircase = !opt_.overlap_avoidance;
+  const int lex = opt_.lex_order;
+  constexpr double kNone = std::numeric_limits<double>::infinity();
+  static constexpr std::uint32_t kLabelZero = 0;
+  std::uint64_t candidates = 0;
+  std::uint64_t skipped = 0;
+  std::uint64_t compares = 0;
 
   FrozenList kids[kMaxFanin];
+  LabelKey leaf_keys[kMaxFanin];
   for (std::size_t jv = lo; jv < hi; ++jv) {
-    for (std::size_t k = 0; k < fanin; ++k) kids[k] = frozen(node.children[k], jv);
-    // A child with no live label at j leaves nothing to join.
-    if (std::any_of(kids, kids + fanin, [](const FrozenList& l) {
-          return std::all_of(l.key, l.key + l.size,
-                             [](const LabelKey& k) { return k.dead; });
-        }))
-      continue;
+    const LeafReach reach = leaf_reach(jv);
+    bool empty = false;
+    for (std::size_t k = 0; k < fanin && !empty; ++k) {
+      const TreeNodeId c = node.children[k];
+      if (!is_implicit_leaf(c))
+        kids[k] = frozen(c, jv);
+      else if (implicit_leaf_label(c, jv, reach, leaf_keys[k]))
+        kids[k] = FrozenList{&leaf_keys[k], &kLabelZero, 1, 0};
+      else
+        kids[k] = FrozenList{};
+      // A child with no live label at j leaves nothing to join.
+      empty = kids[k].size == 0;
+    }
+    if (empty) continue;
     EmbedVertexId j(static_cast<EmbedVertexId::value_type>(jv));
     // Forbidden locations (blocked slots, wrong resource type) are modeled
     // as placement costs >= kForbiddenCost: no gate may be created there.
@@ -368,7 +491,8 @@ void FaninTreeEmbedder::join_vertex_range(TreeNodeId i, std::size_t lo, std::siz
     // Fold the children's label lists into partial joins, pruning dominated
     // partials at each fold (JoinTree, line c2). The kept partials form an
     // antichain too, so one walk both rejects a new partial and drops the
-    // ones it dominates, preserving the order of the rest.
+    // ones it dominates, preserving the order of the rest; under RT and
+    // Lex-N a binary search over their staircase does the same.
     std::vector<PartialJoin>& partials = wb.partials;
     partials.clear();
     partials.push_back(PartialJoin{});
@@ -376,50 +500,152 @@ void FaninTreeEmbedder::join_vertex_range(TreeNodeId i, std::size_t lo, std::siz
       const FrozenList& child_labels = kids[depth];
       std::vector<PartialJoin>& next = wb.next;
       next.clear();
-      for (const PartialJoin& p : partials) {
+      candidates += partials.size() * child_labels.size;
+      if (depth == 0 && skip_dominated && !stem_delay_) {
+        // Joined to the empty partial, each child label keeps its signature,
+        // and the live labels are an antichain: all of them survive, in
+        // index order.
+        const PartialJoin& p = partials.front();
         for (std::uint32_t li = 0; li < child_labels.size; ++li) {
           const LabelKey& cl = child_labels.key[li];
-          if (cl.dead) continue;
+          assert(cl.delay.n <= lex);
           PartialJoin np;
           np.cost = p.cost + cl.cost;
+          np.delay = cl.delay;
+          np.sum_branch_bits = cl.branching;
+          np.child_labels[0] = child_labels.index[li];
+          next.push_back(np);
+        }
+        std::swap(partials, next);
+        continue;
+      }
+      // x is absorbed by y if y tracks `lex` delays and x's largest is at
+      // most y's smallest; then x.merged_with(y) and y.merged_with(x) are y.
+      // Among candidates whose delay is one absorbing partial's or child
+      // label's, only the cheapest can survive.
+      const bool skip = skip_dominated && depth > 0;
+      std::vector<double>& cheapest_partial = wb.absorbed_partial_cost;
+      wb.stair.clear();
+      wb.dead.clear();
+      if (skip) {
+        cheapest_partial.assign(child_labels.size, kNone);
+        for (std::uint32_t li = 0; li < child_labels.size; ++li) {
+          const DelayVec& d = child_labels.key[li].delay;
+          if (d.n != lex) continue;
+          for (const PartialJoin& p : partials)
+            if (p.delay.v[0] <= d.v[lex - 1])
+              cheapest_partial[li] = std::min(cheapest_partial[li], p.cost);
+        }
+      }
+      for (const PartialJoin& p : partials) {
+        const bool p_absorbs = skip && p.delay.n == lex;
+        double cheapest_child = kNone;
+        if (p_absorbs)
+          for (std::uint32_t li = 0; li < child_labels.size; ++li)
+            if (child_labels.key[li].delay.v[0] <= p.delay.v[lex - 1])
+              cheapest_child = std::min(cheapest_child, child_labels.key[li].cost);
+        for (std::uint32_t li = 0; li < child_labels.size; ++li) {
+          const LabelKey& cl = child_labels.key[li];
+          const double cost = p.cost + cl.cost;
+          // Skip (p, b) if a candidate with the same merged delay is
+          // strictly cheaper: (p, cheapest b' p absorbs) when p absorbs b,
+          // or (cheapest p' b absorbs, b) when b absorbs p.
+          if (skip && ((p_absorbs && cl.delay.v[0] <= p.delay.v[lex - 1] &&
+                        cost > p.cost + cheapest_child) ||
+                       (cl.delay.n == lex && p.delay.v[0] <= cl.delay.v[lex - 1] &&
+                        cost > cheapest_partial[li] + cl.cost))) {
+            ++skipped;
+            continue;
+          }
+          DelayVec delay;
+          int mc_weight = 0;
           if (opt_.lex_mc) {
             // Section VI-A Lex-mc join: t = max(t_k); tc = sum(tc_k * w_k);
             // w = sum(w_k). The partial already folded earlier children.
-            const int w = child_labels.cold[li].mc_weight;
+            const int w =
+                mem_.cold[child_labels.cold_base + child_labels.index[li]].mc_weight;
             const double t = std::max(p.delay.n ? p.delay.v[0] : 0.0, cl.delay.v[0]);
             const double tc_p = p.delay.n > 1 ? p.delay.v[1] : 0.0;
             const double tc_c = cl.delay.n > 1 ? cl.delay.v[1] : 0.0;
-            np.delay = DelayVec::pair(t, tc_p + tc_c * w);
-            np.mc_weight = p.mc_weight + w;
+            delay = DelayVec::pair(t, tc_p + tc_c * w);
+            mc_weight = p.mc_weight + w;
           } else {
-            np.delay = p.delay.merged_with(cl.delay, opt_.lex_order);
+            delay = p.delay.merged_with(cl.delay, lex);
           }
-          np.sum_branch_bits = p.sum_branch_bits + cl.branching;
-          std::copy_n(p.child_labels, depth, np.child_labels);
-          np.child_labels[depth] = li;
-          // Dominance prune among partials (cost vs delay vs bits).
-          bool dominated = false;
-          std::size_t kept = 0;
-          for (std::size_t r = 0; r < next.size(); ++r) {
-            const PartialJoin& q = next[r];
-            const int c = q.delay.lex_compare(np.delay);
-            if (q.cost <= np.cost && c <= 0 &&
-                (!opt_.overlap_avoidance || q.sum_branch_bits <= np.sum_branch_bits)) {
-              assert(kept == r);
-              dominated = true;
-              break;
+          const int branch_bits = p.sum_branch_bits + cl.branching;
+          if (staircase) {
+            // The kept partials are an antichain in (cost, lex delay), so in
+            // cost order their delays strictly fall: the one partial that
+            // can dominate the candidate is the costliest not above its
+            // cost, and those it dominates are a run right after that one.
+            // They are marked dead and dropped when the fold ends, so the
+            // survivors keep their enumeration order.
+            std::vector<std::uint32_t>& stair = wb.stair;
+            auto at = std::upper_bound(stair.begin(), stair.end(), cost,
+                                       [&next](double c, std::uint32_t k) {
+                                         return c < next[k].cost;
+                                       });
+            if (at != stair.begin()) {
+              const PartialJoin& q = next[*(at - 1)];
+              ++compares;
+              if (q.delay.lex_compare(delay) <= 0) continue;
+              if (q.cost == cost) --at;  // the candidate dominates q
             }
-            if (np.cost <= q.cost && c >= 0 &&
-                (!opt_.overlap_avoidance || np.sum_branch_bits <= q.sum_branch_bits))
-              continue;  // dropped: np dominates q
-            if (kept != r) next[kept] = q;
-            ++kept;
-          }
-          if (!dominated) {
+            auto end = at;
+            for (; end != stair.end(); ++end) {
+              ++compares;
+              if (next[*end].delay.lex_compare(delay) < 0) break;
+              wb.dead[*end] = 1;
+            }
+            const auto index = static_cast<std::uint32_t>(next.size());
+            if (at == end) {
+              stair.insert(at, index);
+            } else {
+              *at = index;
+              stair.erase(at + 1, end);
+            }
+            wb.dead.push_back(0);
+          } else {
+            // Overlap avoidance: dominance also compares branching bits.
+            bool dominated = false;
+            std::size_t kept = 0;
+            std::size_t r = 0;
+            for (; r < next.size(); ++r) {
+              const PartialJoin& q = next[r];
+              const int c = q.delay.lex_compare(delay);
+              if (q.cost <= cost && c <= 0 &&
+                  (!opt_.overlap_avoidance || q.sum_branch_bits <= branch_bits)) {
+                assert(kept == r);
+                dominated = true;
+                break;
+              }
+              if (cost <= q.cost && c >= 0 &&
+                  (!opt_.overlap_avoidance || branch_bits <= q.sum_branch_bits))
+                continue;  // dropped: the candidate dominates q
+              if (kept != r) next[kept] = q;
+              ++kept;
+            }
+            if (dominated) {
+              compares += r + 1;
+              continue;
+            }
+            compares += r;
             next.resize(kept);
-            next.push_back(np);
           }
+          PartialJoin& np = next.emplace_back();
+          np.cost = cost;
+          np.delay = delay;
+          np.mc_weight = mc_weight;
+          np.sum_branch_bits = branch_bits;
+          std::copy_n(p.child_labels, depth, np.child_labels);
+          np.child_labels[depth] = child_labels.index[li];
         }
+      }
+      if (staircase) {
+        std::size_t kept = 0;
+        for (std::size_t r = 0; r < next.size(); ++r)
+          if (!wb.dead[r]) next[kept++] = next[r];
+        next.resize(kept);
       }
       std::swap(partials, next);
     }
@@ -444,17 +670,26 @@ void FaninTreeEmbedder::join_vertex_range(TreeNodeId i, std::size_t lo, std::siz
       if (fanin <= 2) {
         std::copy_n(p.child_labels, fanin, cold.prov.child_labels_inline);
       } else {
-        cold.prov.spill_index = static_cast<std::int32_t>(spill.size());
+        cold.prov.spill_index = static_cast<std::int32_t>(spill_base + spill.size());
         spill.insert(spill.end(), p.child_labels, p.child_labels + fanin);
       }
       insert_label(out, key, cold, wb, created);
     }
   }
+  work.join_candidates += candidates;
+  work.join_skipped += skipped;
+  work.partial_compares += compares;
 }
 
 void FaninTreeEmbedder::join_node(TreeNodeId i, bool root_mode) {
   const FaninTreeNode& node = tree_.node(i);
   assert(!node.is_leaf());
+  auto join_serially = [&](std::size_t lo, std::size_t hi) {
+    buffers_.spill.clear();
+    join_vertex_range(i, lo, hi, buffers_, buffers_.spill, mem_.spill.size(),
+                      labels_created_, counters_);
+    mem_.spill.append(buffers_.spill.data(), buffers_.spill.data() + buffers_.spill.size());
+  };
 
   // Restrict the root to its fixed vertex unless relocation is enabled.
   if (root_mode && !opt_.relocatable_root) {
@@ -464,8 +699,7 @@ void FaninTreeEmbedder::join_node(TreeNodeId i, bool root_mode) {
                  << "' lies outside the embedding graph";
       return;
     }
-    join_vertex_range(i, only_vertex.index(), only_vertex.index() + 1, buffers_,
-                      mem_.spill, labels_created_);
+    join_serially(only_vertex.index(), only_vertex.index() + 1);
     return;
   }
 
@@ -473,7 +707,7 @@ void FaninTreeEmbedder::join_node(TreeNodeId i, bool root_mode) {
   ThreadPool* pool = opt_.pool;
   if (!pool || pool->num_workers() == 0 ||
       nv < static_cast<std::size_t>(opt_.parallel_min_vertices)) {
-    join_vertex_range(i, 0, nv, buffers_, mem_.spill, labels_created_);
+    join_serially(0, nv);
     return;
   }
 
@@ -482,17 +716,18 @@ void FaninTreeEmbedder::join_node(TreeNodeId i, bool root_mode) {
   // chunk appends >2-child provenance to its own arena; arenas are appended
   // to the spill pool in chunk (= vertex) order with the offsets rebased, so
   // the spill pool layout — and every label bit — matches the serial
-  // embedder.
+  // embedder. Counters are integers, so their sums match it too.
   const std::size_t grain =
       std::max<std::size_t>(16, nv / (4 * pool->num_threads()));
   const std::size_t nchunks = (nv + grain - 1) / grain;
   std::vector<std::vector<std::uint32_t>> arenas(nchunks);
   std::vector<std::size_t> created(nchunks, 0);
+  std::vector<EmbedCounters> work(nchunks);
   pool->parallel_for(nchunks, 1, [&](std::size_t c) {
     const std::size_t lo = c * grain;
     const std::size_t hi = std::min(nv, lo + grain);
     WorkBuffers wb;
-    join_vertex_range(i, lo, hi, wb, arenas[c], created[c]);
+    join_vertex_range(i, lo, hi, wb, arenas[c], 0, created[c], work[c]);
   });
   for (std::size_t c = 0; c < nchunks; ++c) {
     const auto base = static_cast<std::int32_t>(mem_.spill.size());
@@ -504,33 +739,70 @@ void FaninTreeEmbedder::join_node(TreeNodeId i, bool root_mode) {
           if (l.prov.kind == Provenance::Kind::kJoin && l.prov.spill_index >= 0)
             l.prov.spill_index += base;
     }
-    mem_.spill.insert(mem_.spill.end(), arenas[c].begin(), arenas[c].end());
+    mem_.spill.append(arenas[c].data(), arenas[c].data() + arenas[c].size());
     labels_created_ += created[c];
+    counters_ += work[c];
   }
 }
 
 FaninTreeEmbedder::FrozenList FaninTreeEmbedder::frozen(TreeNodeId i,
                                                         std::size_t j) const {
-  const std::uint32_t* row = offsets_row(i);
-  return FrozenList{mem_.keys.data() + mem_.key_base[i.index()] + (row[j] - row[0]),
-                    mem_.cold.data() + row[j], row[j + 1] - row[j]};
+  const std::uint32_t* keys = mem_.key_offsets.data() + mem_.key_row[i.index()];
+  return FrozenList{mem_.keys.data() + keys[j], mem_.key_index.data() + keys[j],
+                    keys[j + 1] - keys[j], offsets_row(i)[j]};
 }
 
-void FaninTreeEmbedder::freeze(TreeNodeId i) {
-  if (check_frontiers_ && !working_lists_are_antichains()) frontiers_ok_ = false;
+void FaninTreeEmbedder::freeze(TreeNodeId i, bool swept) {
+  // The cold halves keep every label, dead ones included, in index order;
+  // the key stack gets the live keys and their label indices.
   const std::size_t nv = mem_.work.size();
-  std::uint32_t* row = mem_.offsets.data() + i.index() * (nv + 1);
-  mem_.key_base[i.index()] = static_cast<std::uint32_t>(mem_.keys.size());
+  mem_.row[i.index()] = static_cast<std::uint32_t>(mem_.offsets.size() / (nv + 1));
+  mem_.key_row[i.index()] = static_cast<std::uint32_t>(mem_.key_offsets.size());
   for (std::size_t j = 0; j < nv; ++j) {
     LabelList& list = mem_.work[j];
-    row[j] = static_cast<std::uint32_t>(mem_.cold.size());
-    mem_.keys.insert(mem_.keys.end(), list.key.begin(), list.key.end());
-    mem_.cold.insert(mem_.cold.end(), list.cold.begin(), list.cold.end());
+    const std::size_t first_key = mem_.keys.size();
+    mem_.offsets.push_back(static_cast<std::uint32_t>(mem_.cold.size()));
+    mem_.key_offsets.push_back(static_cast<std::uint32_t>(first_key));
+    mem_.cold.append(list.cold.data(), list.cold.data() + list.cold.size());
+    if (swept) {
+      // A label already in the list survives iff its own entry is still on
+      // the staircase.
+      for (LabelKey& k : list.key) k.dead = 1;
+      for (const SweepLabel& s : mem_.stairs[j])
+        if (s.origin.index() == j) list.key[s.origin_label].dead = 0;
+    }
+    for (std::uint32_t k = 0; k < list.key.size(); ++k)
+      if (!list.key[k].dead) {
+        mem_.keys.push_back(list.key[k]);
+        mem_.key_index.push_back(k);
+      }
+    if (check_frontiers_ && !swept && mem_.keys.size() - first_key != list.live)
+      frontiers_ok_ = false;
+    if (swept) {
+      // The other staircase entries are appended in cost order, pointing
+      // straight at the label they were shifted from.
+      auto index = static_cast<std::uint32_t>(list.key.size());
+      for (const SweepLabel& s : mem_.stairs[j]) {
+        if (s.origin.index() == j) continue;
+        LabelCold cold;
+        cold.prov.kind = Provenance::Kind::kAugment;
+        cold.prov.from = s.origin;
+        cold.prov.pred_label = s.origin_label;
+        mem_.cold.push_back(cold);
+        mem_.keys.push_back(s.key);
+        mem_.key_index.push_back(index++);
+        ++labels_created_;
+      }
+    }
+    if (check_frontiers_ &&
+        !is_antichain(mem_.keys.data() + first_key, mem_.keys.size() - first_key))
+      frontiers_ok_ = false;
     list.clear();
   }
   if (mem_.cold.size() > std::numeric_limits<std::uint32_t>::max())
     throw std::length_error("FaninTreeEmbedder: more than 2^32 labels in one embedding");
-  row[nv] = static_cast<std::uint32_t>(mem_.cold.size());
+  mem_.offsets.push_back(static_cast<std::uint32_t>(mem_.cold.size()));
+  mem_.key_offsets.push_back(static_cast<std::uint32_t>(mem_.keys.size()));
 }
 
 bool FaninTreeEmbedder::run() {
@@ -540,24 +812,33 @@ bool FaninTreeEmbedder::run() {
   for (LabelList& list : mem_.work) list.clear();
   mem_.cold.clear();
   mem_.keys.clear();
+  mem_.key_index.clear();
+  mem_.key_offsets.clear();
+  mem_.offsets.clear();
+  mem_.leaf_steps.clear();
   mem_.spill.clear();
-  mem_.offsets.resize(tree_.size() * (nv + 1));
-  mem_.key_base.resize(tree_.size());
+  mem_.row.resize(tree_.size());
+  mem_.key_row.resize(tree_.size());
+  std::size_t stored = 0;
+  for (std::size_t n = 0; n < tree_.size(); ++n)
+    if (!is_implicit_leaf(TreeNodeId(static_cast<TreeNodeId::value_type>(n)))) ++stored;
+  mem_.offsets.reserve(stored * (nv + 1));
   frontiers_ok_ = true;
 
   // Bottom-up over the tree (ComputeSubTree). Node i's keys are read only by
   // its own wavefront and by its parent's join, and in post-order the
-  // children of i are the nodes on top of the key stack when i is joined.
+  // children of i are the nodes on top of the key stack (and, for implicit
+  // leaves, of the table stack) when i is joined.
   for (TreeNodeId i : tree_.post_order()) {
     const FaninTreeNode& node = tree_.node(i);
     const bool is_root = (i == tree_.root());
+    if (node.is_leaf() && !(is_implicit_leaf(i) ? make_implicit_leaf(i)
+                                                 : graph_.vertex_at(node.fixed_loc).valid())) {
+      LOG_WARN() << "fanin tree leaf '" << node.name << "' lies outside the embedding graph";
+      return false;
+    }
+    if (is_implicit_leaf(i)) continue;
     if (node.is_leaf()) {
-      EmbedVertexId v = graph_.vertex_at(node.fixed_loc);
-      if (!v.valid()) {
-        LOG_WARN() << "fanin tree leaf '" << node.name
-                   << "' lies outside the embedding graph";
-        return false;
-      }
       LabelKey key;  // fixed terminals carry no placement cost (Section II)
       LabelCold cold;
       if (opt_.lex_mc) {
@@ -568,31 +849,46 @@ bool FaninTreeEmbedder::run() {
         key.delay = DelayVec::single(node.leaf_arrival);
       }
       key.branching = 1;
-      insert_label(mem_.work[v.index()], key, cold, buffers_, labels_created_);
+      insert_label(mem_.work[graph_.vertex_at(node.fixed_loc).index()], key, cold, buffers_,
+                   labels_created_);
     } else {
       join_node(i, is_root);
-      mem_.keys.resize(mem_.key_base[node.children.front().index()]);
+      // Pop the children: the first stored child holds the bottom of their
+      // keys, the first implicit one the bottom of their tables.
+      bool keys_popped = false;
+      bool steps_popped = false;
+      for (TreeNodeId c : node.children) {
+        if (is_implicit_leaf(c)) {
+          if (!steps_popped) mem_.leaf_steps.resize(leaves_[c.index()].steps);
+          steps_popped = true;
+        } else if (!keys_popped) {
+          const std::uint32_t r = mem_.key_row[c.index()];
+          mem_.keys.resize(mem_.key_offsets[r]);
+          mem_.key_index.resize(mem_.key_offsets[r]);
+          mem_.key_offsets.resize(r);
+          keys_popped = true;
+        }
+      }
     }
-    if (!is_root) {
-      if (mesh_)
-        sweep_wavefront();
-      else
-        wavefront();
+    if (is_root) {
+      freeze(i, false);
+    } else if (mesh_) {
+      sweep_wavefront();
+      freeze(i, true);
+    } else {
+      wavefront();
+      freeze(i, false);
     }
-    freeze(i);
   }
 
   // Collect the root trade-off curve (AugmentRoot / final selection).
   tradeoff_.clear();
   for (std::size_t jv = 0; jv < nv; ++jv) {
     const FrozenList root = frozen(tree_.root(), jv);
-    for (std::uint32_t li = 0; li < root.size; ++li) {
-      const LabelKey& k = root.key[li];
-      if (k.dead) continue;
+    for (std::uint32_t li = 0; li < root.size; ++li)
       tradeoff_.push_back(RootSolution{
-          EmbedVertexId(static_cast<EmbedVertexId::value_type>(jv)), li, k.cost,
-          k.delay});
-    }
+          EmbedVertexId(static_cast<EmbedVertexId::value_type>(jv)), root.index[li],
+          root.key[li].cost, root.key[li].delay});
   }
   std::sort(tradeoff_.begin(), tradeoff_.end(), [](const RootSolution& x,
                                                    const RootSolution& y) {
@@ -602,18 +898,11 @@ bool FaninTreeEmbedder::run() {
   return !tradeoff_.empty();
 }
 
-bool FaninTreeEmbedder::working_lists_are_antichains() const {
-  for (const LabelList& list : mem_.work) {
-    std::uint32_t live = 0;
-    for (const LabelKey& x : list.key) {
-      if (x.dead) continue;
-      ++live;
-      for (const LabelKey& y : list.key)
-        if (&x != &y && !y.dead && dominates(x, y, x.delay.lex_compare(y.delay)))
-          return false;
-    }
-    if (live != list.live) return false;
-  }
+bool FaninTreeEmbedder::is_antichain(const LabelKey* key, std::size_t n) const {
+  for (std::size_t x = 0; x < n; ++x)
+    for (std::size_t y = 0; y < n; ++y)
+      if (x != y && dominates(key[x], key[y], key[x].delay.lex_compare(key[y].delay)))
+        return false;
   return true;
 }
 
@@ -649,6 +938,10 @@ TreeEmbedding FaninTreeEmbedder::extract(int tradeoff_index) const {
   while (!stack.empty()) {
     Frame f = stack.back();
     stack.pop_back();
+    if (is_implicit_leaf(f.node)) {
+      out.set(f.node, leaves_[f.node.index()].vertex);
+      continue;
+    }
     const Provenance& prov =
         mem_.cold[offsets_row(f.node)[f.vertex.index()] + f.label].prov;
     switch (prov.kind) {
@@ -661,11 +954,11 @@ TreeEmbedding FaninTreeEmbedder::extract(int tradeoff_index) const {
       case Provenance::Kind::kJoin: {
         out.set(f.node, f.vertex);
         const FaninTreeNode& node = tree_.node(f.node);
-        const std::uint32_t* child_idx = prov.spill_index >= 0
-                                             ? mem_.spill.data() + prov.spill_index
-                                             : prov.child_labels_inline;
         for (std::size_t k = 0; k < node.children.size(); ++k)
-          stack.push_back(Frame{node.children[k], f.vertex, child_idx[k]});
+          stack.push_back(Frame{node.children[k], f.vertex,
+                                prov.spill_index >= 0
+                                    ? mem_.spill[static_cast<std::size_t>(prov.spill_index) + k]
+                                    : prov.child_labels_inline[k]});
         break;
       }
     }

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -88,11 +90,60 @@ struct SweepLabel {
   std::uint32_t origin_label;
 };
 
+/// An append-only array kept in fixed-size chunks. Growing it never moves
+/// what it holds, so its footprint is its size rounded up to one chunk,
+/// where a doubling vector briefly holds its old and its new buffer.
+/// clear() keeps the chunks for the next embedding.
+template <class T>
+class ChunkedArena {
+ public:
+  static constexpr std::size_t kChunkBits = 12;
+  static constexpr std::size_t kChunk = std::size_t{1} << kChunkBits;
+
+  std::size_t size() const { return size_; }
+  void clear() { size_ = 0; }
+  T& operator[](std::size_t k) { return chunks_[k >> kChunkBits][k & (kChunk - 1)]; }
+  const T& operator[](std::size_t k) const {
+    return chunks_[k >> kChunkBits][k & (kChunk - 1)];
+  }
+  void push_back(const T& x) {
+    if (size_ == chunks_.size() * kChunk) chunks_.emplace_back(new T[kChunk]);
+    (*this)[size_++] = x;
+  }
+  /// Appends [first, last), a contiguous range, one chunk-sized span at a
+  /// time.
+  void append(const T* first, const T* last) {
+    while (first != last) {
+      if (size_ == chunks_.size() * kChunk) chunks_.emplace_back(new T[kChunk]);
+      const std::size_t at = size_ & (kChunk - 1);
+      const std::size_t n =
+          std::min(static_cast<std::size_t>(last - first), kChunk - at);
+      std::copy(first, first + n, chunks_[size_ >> kChunkBits].get() + at);
+      first += n;
+      size_ += n;
+    }
+  }
+  std::size_t capacity_bytes() const {
+    return chunks_.size() * kChunk * sizeof(T) + chunks_.capacity() * sizeof(chunks_[0]);
+  }
+
+ private:
+  std::vector<std::unique_ptr<T[]>> chunks_;
+  std::size_t size_ = 0;
+};
+
+/// One entry of an implicit leaf's distance table: its label at Manhattan
+/// distance d from its source vertex (docs/ALGORITHMS.md §1).
+struct LeafStep {
+  double cost;
+  double delay;
+};
+
 /// The embedder's label arena (docs/ALGORITHMS.md §1, "Label store"). Only
 /// the node being processed has growable per-vertex lists; when the node is
 /// done they are frozen: the cold halves are appended to one arena
-/// that extraction reads, the keys are pushed onto a stack that lives only
-/// until the parent's join, and a per-node row of CSR offsets locates both.
+/// that extraction reads, the live keys are pushed onto a stack that lives
+/// only until the parent's join, and per-node rows of offsets locate both.
 /// Passing a scratch to FaninTreeEmbedder adopts the capacities an earlier
 /// embedding grew, and the destructor returns them, so a loop that embeds
 /// one tree per iteration (the replication engine — one embedder per sink)
@@ -101,25 +152,62 @@ struct SweepLabel {
 struct EmbedScratch {
   /// The working lists: A[i][*] of the node being processed.
   std::vector<LabelList> work;
-  /// Cold halves of every frozen node, in post-order, per node by vertex.
-  std::vector<LabelCold> cold;
-  /// Keys of the frozen nodes whose parent is not yet joined, laid out as in
-  /// `cold`. In post-order these nodes form a stack.
+  /// Cold halves of every frozen node, in post-order, per node by vertex,
+  /// dead labels included.
+  ChunkedArena<LabelCold> cold;
+  /// Live keys of the frozen nodes whose parent is not yet joined, and each
+  /// key's label index in its A[i][j]. In post-order these nodes form a stack.
   std::vector<LabelKey> keys;
-  /// Row i (num_vertices + 1 entries): index in `cold` of label 0 of each
-  /// A[i][j], then the end of node i's labels.
+  std::vector<std::uint32_t> key_index;
+  /// Per stacked node, num_vertices + 1 entries: index in `keys` of the first
+  /// live key of each A[i][j], then the end of node i's keys.
+  std::vector<std::uint32_t> key_offsets;
+  /// Per frozen node, num_vertices + 1 entries: index in `cold` of label 0 of
+  /// each A[i][j], then the end of node i's labels.
   std::vector<std::uint32_t> offsets;
-  /// Index in `keys` of node i's first key (valid while i is stacked).
-  std::vector<std::uint32_t> key_base;
+  /// Per tree node: its row in `offsets` and, while it is stacked, the start
+  /// of its row in `key_offsets`.
+  std::vector<std::uint32_t> row;
+  std::vector<std::uint32_t> key_row;
+  /// Distance tables of the implicit leaves whose parent is not yet joined.
+  std::vector<LeafStep> leaf_steps;
   /// Child label indices of joins with more than two children, contiguous
   /// from each label's Provenance::spill_index.
-  std::vector<std::uint32_t> spill;
+  ChunkedArena<std::uint32_t> spill;
   /// The mesh sweep's per-vertex staircases and its merge buffer.
   std::vector<std::vector<SweepLabel>> stairs;
   std::vector<SweepLabel> merged;
 
   /// Bytes of capacity held, for arena_counters().embed_scratch_bytes.
   std::size_t capacity_bytes() const;
+};
+
+/// Deterministic work counters of one embedding (docs/ALGORITHMS.md §1).
+/// They count the same for every thread count.
+struct EmbedCounters {
+  /// Leaves whose frontier was read from a distance table, not swept.
+  std::uint64_t implicit_leaves = 0;
+  /// (partial, child label) pairs the joins enumerated, and how many of
+  /// them were skipped as strictly dominated before the dominance scan.
+  std::uint64_t join_candidates = 0;
+  std::uint64_t join_skipped = 0;
+  /// Dominance tests of a candidate against a kept partial in the join
+  /// folds (each compares two delay vectors).
+  std::uint64_t partial_compares = 0;
+  /// Staircase merges of the mesh sweep, and how many of them left their
+  /// destination unchanged because no shifted entry survived.
+  std::uint64_t sweep_merges = 0;
+  std::uint64_t sweep_merges_unchanged = 0;
+
+  EmbedCounters& operator+=(const EmbedCounters& o) {
+    implicit_leaves += o.implicit_leaves;
+    join_candidates += o.join_candidates;
+    join_skipped += o.join_skipped;
+    partial_compares += o.partial_compares;
+    sweep_merges += o.sweep_merges;
+    sweep_merges_unchanged += o.sweep_merges_unchanged;
+    return *this;
+  }
 };
 
 /// One entry of the root trade-off curve.
@@ -174,6 +262,7 @@ class FaninTreeEmbedder {
 
   /// Diagnostics.
   std::size_t labels_created() const { return labels_created_; }
+  const EmbedCounters& counters() const { return counters_; }
   /// Test hook, called before run(): makes run() check each node's final
   /// frontier as it is frozen, in O(n^2) per frontier.
   void check_frontiers() { check_frontiers_ = true; }
@@ -201,6 +290,13 @@ class FaninTreeEmbedder {
     std::vector<PartialJoin> partials;
     std::vector<PartialJoin> next;
     std::vector<std::uint32_t> cap_order;
+    /// Per child label: the cost of the cheapest partial it absorbs.
+    std::vector<double> absorbed_partial_cost;
+    /// The fold's kept partials by rising cost, and a dead flag per partial.
+    std::vector<std::uint32_t> stair;
+    std::vector<std::uint8_t> dead;
+    /// The serial join's spill provenance, before it joins the arena.
+    std::vector<std::uint32_t> spill;
   };
 
   /// True if `a` dominates `b`, given c = a.delay.lex_compare(b.delay).
@@ -217,42 +313,88 @@ class FaninTreeEmbedder {
   void cap_list(LabelList& list, std::vector<std::uint32_t>& order);
   /// True if the sweep may replace GenDijkstra: the objective is RT or Lex-N
   /// and the graph is a make_grid mesh whose extra vertices each hang off
-  /// one mesh vertex, with no negative edge. Fills spliced_in_.
+  /// one mesh vertex, with no negative edge. Fills spliced_in_ and splices_.
   bool sweep_applies();
   /// The wavefront of the node being processed, on the working lists.
   void wavefront();
+  /// The mesh sweep; leaves its final frontiers in mem_.stairs.
   void sweep_wavefront();
   /// Merges the non-empty staircase `src`, shifted by one edge, into the
   /// staircase `dst`.
   void merge_shifted(std::vector<SweepLabel>& dst, const std::vector<SweepLabel>& src,
                      double cost, double delay);
+  /// The max_labels rule of cap_list on a staircase.
+  void cap_staircase(std::vector<SweepLabel>& s) const;
   void join_node(TreeNodeId i, bool root_mode);
   /// Joins node i at every vertex in [lo, hi), appending >2-child provenance
-  /// to `spill` with offsets local to it, and counting new labels in
-  /// `created`. Reads the children's frozen lists and writes only the
-  /// working lists lo..hi — safe to run ranges concurrently.
+  /// to `spill` (its first entry will sit at `spill_base` in the arena), and
+  /// counting new labels in `created` and work in `work`. Reads the
+  /// children's frozen lists and writes only the working lists lo..hi — safe
+  /// to run ranges concurrently.
   void join_vertex_range(TreeNodeId i, std::size_t lo, std::size_t hi,
                          WorkBuffers& wb, std::vector<std::uint32_t>& spill,
-                         std::size_t& created);
+                         std::size_t spill_base, std::size_t& created,
+                         EmbedCounters& work);
   double augment_delay_delta(std::int32_t stem_len, double edge_delay_or_len) const;
 
-  /// A frozen A[i][j]: `size` labels, keys at `key` (only while i is
-  /// stacked) and cold halves at `cold`.
+  /// A frozen A[i][j]: its `size` live keys at `key`, their label indices at
+  /// `index`, and label 0's cold half at mem_.cold[cold_base].
   struct FrozenList {
     const LabelKey* key = nullptr;
-    const LabelCold* cold = nullptr;
+    const std::uint32_t* index = nullptr;
     std::uint32_t size = 0;
+    std::uint32_t cold_base = 0;
   };
+  /// Node i's frozen A[i][j]; i must be stacked.
   FrozenList frozen(TreeNodeId i, std::size_t j) const;
   /// Node i's row of mem_.offsets.
   const std::uint32_t* offsets_row(TreeNodeId i) const {
-    return mem_.offsets.data() + i.index() * (graph_.num_vertices() + 1);
+    return mem_.offsets.data() + mem_.row[i.index()] * (graph_.num_vertices() + 1);
   }
-  /// Moves the working lists into the arena as node i's frozen lists and
-  /// clears them.
-  void freeze(TreeNodeId i);
-  /// The frontier check of check_frontiers() on the working lists.
-  bool working_lists_are_antichains() const;
+  /// Moves node i's frontiers into the arena as its frozen lists and clears
+  /// the working lists. With `swept`, the frontiers are the working lists
+  /// cut to the entries left on mem_.stairs plus the staircase entries that
+  /// came from other vertices, which are appended in staircase order.
+  void freeze(TreeNodeId i, bool swept);
+  /// The check of check_frontiers() on one frozen list's live keys.
+  bool is_antichain(const LabelKey* key, std::size_t n) const;
+
+  /// Implicit leaves (docs/ALGORITHMS.md §1): on the mesh a non-root leaf's
+  /// frontier is one label per vertex, read from a table by distance.
+  bool is_implicit_leaf(TreeNodeId i) const {
+    return implicit_leaves_ && tree_.node(i).is_leaf() && i != tree_.root();
+  }
+  /// Pushes leaf i's distance table; false if its vertex is off the graph.
+  bool make_implicit_leaf(TreeNodeId i);
+  /// Per implicit leaf: its vertex, the mesh point its table starts at
+  /// (source_x < 0 if no edge leaves its vertex) and where its table sits in
+  /// mem_.leaf_steps while the leaf is stacked.
+  struct ImplicitLeaf {
+    EmbedVertexId vertex;
+    std::int32_t source_x = -1;
+    std::int32_t source_y = -1;
+    std::uint32_t steps = 0;
+  };
+  /// Per extra vertex: its anchor and the edges between them.
+  struct Splice {
+    std::int32_t anchor = -1;
+    std::uint8_t num_in = 0;   ///< edges anchor -> extra
+    std::uint8_t num_out = 0;  ///< edges extra -> anchor
+    EmbeddingGraph::Edge in{};
+    EmbeddingGraph::Edge out{};
+  };
+  /// Where implicit leaves' labels at a vertex come from: the mesh point
+  /// (x, y) (x < 0 if none), and at a spliced vertex the edges to its anchor.
+  struct LeafReach {
+    std::int32_t x = -1;
+    std::int32_t y = -1;
+    const Splice* via = nullptr;
+  };
+  LeafReach leaf_reach(std::size_t jv) const;
+  /// Implicit leaf c's label at vertex jv, as the sweep would have left it;
+  /// false if it has none there.
+  bool implicit_leaf_label(TreeNodeId c, std::size_t jv, const LeafReach& reach,
+                           LabelKey& key) const;
 
   const FaninTree& tree_;
   const EmbeddingGraph& graph_;
@@ -273,9 +415,16 @@ class FaninTreeEmbedder {
   const EmbeddingGraph::Mesh* mesh_ = nullptr;
   /// Edges from mesh vertices to the extra vertices hanging off them.
   std::vector<std::pair<EmbedVertexId, EmbeddingGraph::Edge>> spliced_in_;
+  /// Indexed by extra vertex − mesh_->count.
+  std::vector<Splice> splices_;
+  /// On the mesh, unless an extra vertex has two edges to or from its anchor.
+  bool implicit_leaves_ = false;
+  /// Indexed by tree node; set for implicit leaves.
+  std::vector<ImplicitLeaf> leaves_;
 
   std::vector<RootSolution> tradeoff_;
   std::size_t labels_created_ = 0;
+  EmbedCounters counters_;
   bool check_frontiers_ = false;
   bool frontiers_ok_ = true;
 };

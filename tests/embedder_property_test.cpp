@@ -731,5 +731,123 @@ TEST(SweepVsGenDijkstra, TerminalOnTwoMeshVerticesFallsBackToGenDijkstra) {
   }
 }
 
+TEST(SweepVsGenDijkstra, TerminalWithTwoEdgesToItsAnchorKeepsStoredLeaves) {
+  // Two edges between a spliced terminal and its anchor can leave two labels
+  // of its leaf at one vertex, which the implicit leaves' one label per
+  // vertex does not give. Such a graph keeps the sweep, over stored leaves.
+  const int w = 6;
+  const int h = 6;
+  FaninTree tree;
+  const TreeNodeId l0 = tree.add_leaf("l0", Point{0, 0}, 0.0, true);
+  const TreeNodeId l1 = tree.add_leaf("l1", Point{3, 5}, 1.5, true);
+  const TreeNodeId l2 = tree.add_leaf("l2", Point{6, 2}, 0.75, true);
+  const TreeNodeId l3 = tree.add_leaf("l3", Point{0, 4}, 2.0, true);
+  const TreeNodeId g0 = tree.add_gate("g0", {l0, l1}, 1.0);
+  const TreeNodeId root = tree.add_gate("root", {g0, l2, l3}, 1.0);
+  tree.set_root(root, Point{4, 4});
+  EmbeddingGraph swept = build_mesh(true, w, h, 0.5, 0.25);
+  EmbeddingGraph heap = build_mesh(false, w, h, 0.5, 0.25);
+  for (EmbeddingGraph* g : {&swept, &heap}) {
+    const EmbedVertexId hub = g->add_vertex(Point{0, 0});
+    const EmbedVertexId anchor = g->vertex_at(Point{1, 1});
+    g->add_bidi_edge(hub, anchor, 1.0, 1.0);  // cheap and slow
+    g->add_bidi_edge(hub, anchor, 2.0, 0.25);  // costly and fast
+    splice_terminals(*g, tree, w, h, 0.5, 0.25);
+  }
+  ASSERT_NE(swept.mesh(), nullptr);
+  auto pcost = [&swept](TreeNodeId i, EmbedVertexId j) {
+    const Point p = swept.point(j);
+    return 0.25 * ((p.x + 2 * p.y + static_cast<int>(i.index())) % 5);
+  };
+  for (int lex : {1, 3}) {
+    EmbedOptions opt;
+    opt.lex_order = lex;
+    FaninTreeEmbedder s(tree, swept, pcost, opt);
+    FaninTreeEmbedder d(tree, heap, pcost, opt);
+    s.check_frontiers();
+    ASSERT_TRUE(s.run());
+    ASSERT_TRUE(d.run());
+    EXPECT_TRUE(s.frontiers_are_antichains());
+    EXPECT_EQ(curve_bits(s), curve_bits(d));
+    EXPECT_EQ(s.labels_created(), d.labels_created());
+    EXPECT_GT(s.counters().sweep_merges, 0u);
+    EXPECT_EQ(s.counters().implicit_leaves, 0u);
+    EXPECT_EQ(d.counters().sweep_merges, 0u);
+    for (std::size_t k = 0; k < s.tradeoff().size(); ++k)
+      EXPECT_EQ(s.extract(static_cast<int>(k)).raw(), d.extract(static_cast<int>(k)).raw());
+  }
+}
+
+// ---- embedder work counters ---------------------------------------------------
+
+/// The work counters of one ring-spliced mesh case, serial or with every
+/// join chunked on `pool`.
+std::string mesh_case_counters(std::uint64_t seed, int lex, int max_labels, ThreadPool* pool) {
+  Rng rng(seed);
+  const MeshCase mc = make_mesh_case(rng);
+  EmbeddingGraph g = build_mesh(true, mc.w, mc.h, mc.cost, mc.delay);
+  splice_terminals(g, mc.tree, mc.w, mc.h, mc.cost, mc.delay);
+  auto pcost = [&](TreeNodeId i, EmbedVertexId j) {
+    const Point p = g.point(j);
+    return mc.pcost.at({i.index(), (static_cast<long long>(p.y) << 32) | p.x});
+  };
+  EmbedOptions opt;
+  opt.lex_order = lex;
+  opt.max_labels = max_labels;
+  opt.pool = pool;
+  opt.parallel_min_vertices = 1;
+  FaninTreeEmbedder e(mc.tree, g, pcost, opt);
+  e.check_frontiers();
+  if (!e.run()) return "no solution";
+  if (!e.frontiers_are_antichains()) return "frontier invariant broken";
+  const EmbedCounters& c = e.counters();
+  char buf[200];
+  std::snprintf(buf, sizeof buf,
+                "leaves %llu candidates %llu skipped %llu compares %llu merges %llu "
+                "unchanged %llu created %zu",
+                static_cast<unsigned long long>(c.implicit_leaves),
+                static_cast<unsigned long long>(c.join_candidates),
+                static_cast<unsigned long long>(c.join_skipped),
+                static_cast<unsigned long long>(c.partial_compares),
+                static_cast<unsigned long long>(c.sweep_merges),
+                static_cast<unsigned long long>(c.sweep_merges_unchanged), e.labels_created());
+  return buf;
+}
+
+TEST(EmbedderCounters, PinnedOnAMeshCase) {
+  // The counters measure work, not output (the goldens above pin that), and
+  // are the same for every thread count. A change here is a change in how
+  // much work the embedder does on this case.
+  struct Pinned {
+    std::uint64_t seed;
+    int lex;
+    int max_labels;
+    const char* counters;
+  };
+  const Pinned pinned[] = {
+      {7053, 1, 0,
+       "leaves 10 candidates 2289 skipped 69 compares 755 merges 2431 unchanged 1177 "
+       "created 3740"},
+      {7053, 3, 0,
+       "leaves 10 candidates 4231 skipped 488 compares 3118 merges 2431 unchanged 1138 "
+       "created 5627"},
+      {7053, 3, 2,
+       "leaves 10 candidates 2914 skipped 191 compares 1410 merges 2431 unchanged 1028 "
+       "created 3644"},
+      // Here a staircase with more than 2·max_labels entries takes no
+      // shifted entry, and the merge must still cap it.
+      {4, 3, 2,
+       "leaves 7 candidates 1395 skipped 3 compares 402 merges 1370 unchanged 796 "
+       "created 1796"},
+  };
+  ThreadPool pool(4);
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE("seed " + std::to_string(p.seed) + " lex " + std::to_string(p.lex) +
+                 " max_labels " + std::to_string(p.max_labels));
+    EXPECT_EQ(mesh_case_counters(p.seed, p.lex, p.max_labels, nullptr), p.counters);
+    EXPECT_EQ(mesh_case_counters(p.seed, p.lex, p.max_labels, &pool), p.counters);
+  }
+}
+
 }  // namespace
 }  // namespace repro

@@ -191,12 +191,14 @@ INSTANTIATE_TEST_SUITE_P(Circuits, GoldenTrajectory,
 // ---- embedder label arena ------------------------------------------------
 
 TEST(EmbedArena, Ex5pLex3HoldsOnlyTheUnjoinedKeys) {
-  // The embedder keeps keys only until the parent's join and the cold halves
-  // in one flat arena (docs/ALGORITHMS.md §1, "Label store"). Capacities are
-  // deterministic, so this pins the arena's peak: per-(node, vertex) lists
-  // took 36728844 bytes here, the arena 6225836. A fresh thread starts with
-  // an empty thread-local engine scratch, whatever ran before in this process.
-  constexpr std::uint64_t kMeasuredBytes = 6225836;
+  // The embedder keeps live keys only until the parent's join, the cold
+  // halves in one chunked arena, and no labels for implicit leaves
+  // (docs/ALGORITHMS.md §1, "Label store"). Capacities are deterministic, so
+  // this pins the arena's peak: per-(node, vertex) lists took 36728844 bytes
+  // here, the post-order arena 6225836, and the arena now 4210912. A fresh
+  // thread starts with an empty thread-local engine scratch, whatever ran
+  // before in this process.
+  constexpr std::uint64_t kMeasuredBytes = 4210912;
   arena_counters().reset();
   std::thread([] {
     Placed p("ex5p", 0.10, golden_annealer_options());
