@@ -6,6 +6,12 @@
 // battery itself. The stage level is the one meant to ride along in
 // production batches; the acceptance bar is < 5% of flow wall-clock. Emits
 // BENCH_audit.json in the working directory.
+//
+// Gate (--smoke runs the first circuit once per level). With --reference
+// <committed BENCH_audit.json> the first circuit's check and finding counts
+// per level, which are deterministic, must equal the committed smoke_gate
+// line exactly, and the committed stage-level overhead must be under the
+// 5% bar.
 
 #include <algorithm>
 #include <chrono>
@@ -34,9 +40,12 @@ struct Golden {
 };
 
 struct LevelTiming {
-  double flow_seconds = 0;    ///< best of kReps full-flow runs
+  double flow_seconds = 0;    ///< best of the reps' full-flow runs
   int audit_checks = 0;       ///< checks run across all stage batteries
-  double battery_ms = 0;      ///< post-place battery alone, best of kReps
+  int audit_findings = 0;     ///< findings at kError or worse in the flow
+  double battery_ms = 0;      ///< post-place battery alone, best of the reps
+  int battery_checks = 0;     ///< checks the post-place battery ran
+  int battery_findings = 0;   ///< its findings of any severity
 };
 
 struct CircuitResult {
@@ -49,10 +58,9 @@ struct CircuitResult {
   }
 };
 
-constexpr int kReps = 3;
 constexpr double kScale = 0.05;
 
-double flow_seconds(const Golden& g, AuditLevel level, int* checks) {
+double flow_seconds(const Golden& g, AuditLevel level, int reps, LevelTiming* lt) {
   JobSpec spec;
   spec.id = std::string(g.circuit) + "-" + audit_level_name(level);
   spec.circuit = g.circuit;
@@ -67,7 +75,7 @@ double flow_seconds(const Golden& g, AuditLevel level, int* checks) {
   opt.base.audit = level;
 
   double best = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
+  for (int rep = 0; rep < reps; ++rep) {
     FlowService svc(opt);
     const double t0 = now_seconds();
     const auto res = svc.run_batch({spec});
@@ -77,13 +85,14 @@ double flow_seconds(const Golden& g, AuditLevel level, int* checks) {
                    res[0].error.c_str());
       std::exit(1);
     }
-    *checks = res[0].audit_checks;
+    lt->audit_checks = res[0].audit_checks;
+    lt->audit_findings = res[0].audit_findings;
     best = rep == 0 ? dt : std::min(best, dt);
   }
   return best;
 }
 
-double battery_ms(const Golden& g, AuditLevel level) {
+double battery_ms(const Golden& g, AuditLevel level, int reps, LevelTiming* lt) {
   FlowConfig cfg;
   cfg.scale = kScale;
   cfg.seed = g.seed;
@@ -94,7 +103,7 @@ double battery_ms(const Golden& g, AuditLevel level) {
   opt.seed = cfg.seed;
   const Auditor auditor(opt);
   double best = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
+  for (int rep = 0; rep < reps; ++rep) {
     const double t0 = now_seconds();
     const AuditReport rep_out =
         auditor.audit_stage("place", *p.nl, p.pl.get(), &cfg.delay);
@@ -104,6 +113,8 @@ double battery_ms(const Golden& g, AuditLevel level) {
                    rep_out.to_jsonl_lines().c_str());
       std::exit(1);
     }
+    lt->battery_checks = rep_out.checks_run;
+    lt->battery_findings = static_cast<int>(rep_out.findings.size());
     best = rep == 0 ? dt : std::min(best, dt);
   }
   return best;
@@ -112,10 +123,15 @@ double battery_ms(const Golden& g, AuditLevel level) {
 }  // namespace
 }  // namespace repro
 
-int main() {
+int main(int argc, char** argv) {
   using namespace repro;
-  const Golden goldens[] = {
-      {"tseng", "lex3", 3}, {"ex5p", "rt", 5}, {"s298", "none", 7}};
+  bench::BenchArgs args;
+  if (!bench::parse_bench_args(argc, argv, "audit", &args)) return 2;
+  const bool smoke = args.smoke;
+  const std::vector<Golden> goldens =
+      smoke ? std::vector<Golden>{{"tseng", "lex3", 3}}
+            : std::vector<Golden>{{"tseng", "lex3", 3}, {"ex5p", "rt", 5}, {"s298", "none", 7}};
+  const int reps = smoke ? 1 : 3;
   const AuditLevel levels[] = {AuditLevel::kOff, AuditLevel::kStage,
                                AuditLevel::kParanoid};
 
@@ -126,8 +142,8 @@ int main() {
     cr.golden = g;
     for (const AuditLevel level : levels) {
       LevelTiming& lt = cr.per_level[static_cast<int>(level)];
-      lt.flow_seconds = flow_seconds(g, level, &lt.audit_checks);
-      if (level != AuditLevel::kOff) lt.battery_ms = battery_ms(g, level);
+      lt.flow_seconds = flow_seconds(g, level, reps, &lt);
+      if (level != AuditLevel::kOff) lt.battery_ms = battery_ms(g, level, reps, &lt);
     }
     for (const AuditLevel level : levels)
       std::printf("%-6s %-5s  audit=%-8s  flow=%7.3fs  battery=%6.2fms  "
@@ -142,6 +158,23 @@ int main() {
   }
   std::printf("max stage-level overhead: %.2f%% (bar: < 5%%)\n", max_stage_pct);
 
+  // The smoke gate reads the first circuit, which both full and smoke runs
+  // execute.
+  std::vector<bench::GateField> smoke_gate;
+  for (const AuditLevel level : levels) {
+    const LevelTiming& lt = results[0].per_level[static_cast<int>(level)];
+    const std::string k = std::string("smoke_") + audit_level_name(level) + "_";
+    auto count = [](int n) { return static_cast<std::uint64_t>(n); };
+    smoke_gate.push_back(bench::exact(k + "flow_checks", count(lt.audit_checks)));
+    smoke_gate.push_back(bench::exact(k + "flow_findings", count(lt.audit_findings)));
+    smoke_gate.push_back(bench::exact(k + "battery_checks", count(lt.battery_checks)));
+    smoke_gate.push_back(bench::exact(k + "battery_findings", count(lt.battery_findings)));
+  }
+  // A best-of-one smoke run times too noisily to hold to the bar itself.
+  const std::vector<bench::HeadlineGate> headline = {
+      {"overhead", "max_stage_pct", bench::GateRule::kAtMost, 5.0, max_stage_pct}};
+  const int failures = bench::check_gates(args, smoke_gate, headline);
+
   FILE* out = std::fopen("BENCH_audit.json", "w");
   if (!out) {
     std::fprintf(stderr, "cannot open BENCH_audit.json\n");
@@ -153,14 +186,19 @@ int main() {
   // flow-throughput ratio vs audit-off (1.0 = free, smaller = slower).
   bench::emit_summary(out, "audit", 1.0 / (1.0 + max_stage_pct / 100.0));
   std::fprintf(out,
-               "  \"benchmark\": \"audit\",\n"
+               "  \"benchmark\": \"audit\",\n  \"smoke\": %s,\n"
+               "  \"overhead\": {\"max_stage_pct\": %.2f},\n",
+               smoke ? "true" : "false", max_stage_pct);
+  bench::write_smoke_gate(out, smoke_gate);
+  std::fprintf(out,
                "  \"scale\": %.2f,\n"
                "  \"note\": \"flow seconds are best-of-%d full "
                "place->replicate->route runs via FlowService; battery_ms "
                "times the post-place audit battery alone; overhead_pct is "
-               "relative to the audit-off run\",\n"
+               "relative to the audit-off run; check and finding counts are "
+               "deterministic\",\n"
                "  \"circuits\": [\n",
-               kScale, kReps);
+               kScale, reps);
   for (std::size_t i = 0; i < results.size(); ++i) {
     const CircuitResult& cr = results[i];
     std::fprintf(out,
@@ -173,16 +211,17 @@ int main() {
       std::fprintf(out,
                    "      {\"level\": \"%s\", \"flow_seconds\": %.4f, "
                    "\"battery_ms\": %.3f, \"audit_checks\": %d, "
-                   "\"overhead_pct\": %.2f}%s\n",
+                   "\"audit_findings\": %d, \"battery_checks\": %d, "
+                   "\"battery_findings\": %d, \"overhead_pct\": %.2f}%s\n",
                    audit_level_name(static_cast<AuditLevel>(l)),
-                   lt.flow_seconds, lt.battery_ms, lt.audit_checks,
+                   lt.flow_seconds, lt.battery_ms, lt.audit_checks, lt.audit_findings,
+                   lt.battery_checks, lt.battery_findings,
                    cr.overhead_pct(static_cast<AuditLevel>(l)),
                    l < 2 ? "," : "");
     }
     std::fprintf(out, "    ]}%s\n", i + 1 < results.size() ? "," : "");
   }
-  std::fprintf(out, "  ],\n  \"max_stage_overhead_pct\": %.2f\n}\n",
-               max_stage_pct);
+  std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
-  return max_stage_pct < 5.0 ? 0 : 1;
+  return failures == 0 ? 0 : 1;
 }

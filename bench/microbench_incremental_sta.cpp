@@ -7,8 +7,14 @@
 //     redundant-removal), the replication-engine case.
 //
 // For every measurement the incremental critical delay is checked against the
-// rebuilt graph, so the speedup reported is for *equivalent* answers. Emits
-// BENCH_incremental_sta.json next to the working directory.
+// rebuilt graph, so the speedup reported is for *equivalent* answers. Beside
+// the times it counts the work both ways: timing nodes re-timed and edges
+// re-delayed by the incremental updates, against the nodes and edges of the
+// rebuilt graphs. Emits BENCH_incremental_sta.json in the working directory.
+//
+// Gate (--smoke runs the smallest size only). With --reference <committed
+// BENCH_incremental_sta.json> the smallest size's work counts, which are
+// deterministic, must equal the committed smoke_gate line exactly.
 
 #include <chrono>
 #include <cstdio>
@@ -21,6 +27,7 @@
 #include "timing/timing_engine.h"
 #include "timing/timing_graph.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace repro {
 namespace {
@@ -57,6 +64,20 @@ struct Fixture {
         }()) {}
 };
 
+/// Work of one delta shape over all its reps: what the incremental updates
+/// re-timed, and what the rebuilds visited (every node and edge).
+struct Work {
+  std::uint64_t ops = 0;
+  std::uint64_t nodes_retimed = 0;
+  std::uint64_t edges_redelayed = 0;
+  std::uint64_t rebuild_nodes = 0;
+  std::uint64_t rebuild_edges = 0;
+};
+
+double per_op(const Work& w, std::uint64_t total) {
+  return w.ops ? static_cast<double>(total) / static_cast<double>(w.ops) : 0.0;
+}
+
 struct SizeResult {
   int num_logic = 0;
   std::size_t nodes = 0;
@@ -67,7 +88,26 @@ struct SizeResult {
   double rebuild_splice_us = 0;      // full TimingGraph per replication
   double incremental_splice_us = 0;  // on_cells_rewired + update()
   double splice_speedup = 0;
+  Work move;
+  Work splice;
 };
+
+/// Runs one incremental update, adding the nodes and edges it re-timed.
+template <class Fn>
+void count_update(Work& w, Fn&& update) {
+  const TimingCounters& tc = timing_counters();
+  const std::uint64_t nodes = tc.nodes_reevaluated;
+  const std::uint64_t edges = tc.edges_redelayed;
+  update();
+  w.nodes_retimed += tc.nodes_reevaluated - nodes;
+  w.edges_redelayed += tc.edges_redelayed - edges;
+  ++w.ops;
+}
+
+void count_rebuild(Work& w, const TimingGraph& fresh) {
+  w.rebuild_nodes += fresh.num_nodes();
+  w.rebuild_edges += fresh.num_edges();
+}
 
 /// Measures single-cell-move re-timing, both ways, over `reps` random moves.
 void bench_moves(Fixture& f, SizeResult& out, int reps) {
@@ -85,13 +125,16 @@ void bench_moves(Fixture& f, SizeResult& out, int reps) {
     f.pl.place(c, slots[rng.next_below(slots.size())]);
 
     double t0 = now_seconds();
-    eng.on_cell_moved(c);
-    eng.update();
+    count_update(out.move, [&] {
+      eng.on_cell_moved(c);
+      eng.update();
+    });
     t_inc += now_seconds() - t0;
 
     t0 = now_seconds();
     TimingGraph fresh(f.nl, f.pl, f.dm);
     t_full += now_seconds() - t0;
+    count_rebuild(out.move, fresh);
 
     if (std::abs(fresh.critical_delay() - eng.graph().critical_delay()) > 1e-9) {
       std::fprintf(stderr, "MISMATCH move: %f vs %f\n", fresh.critical_delay(),
@@ -112,7 +155,6 @@ void bench_splices(Fixture& f, SizeResult& out, int reps) {
   TimingEngine eng(f.nl, f.pl, f.dm);
   double t_inc = 0;
   double t_full = 0;
-  int done = 0;
   for (int i = 0; i < reps; ++i) {
     std::vector<CellId> cands;
     for (CellId c : f.nl.live_cells())
@@ -138,14 +180,16 @@ void bench_splices(Fixture& f, SizeResult& out, int reps) {
     }
 
     double t0 = now_seconds();
-    eng.on_cells_rewired(rewired);
-    eng.update();
+    count_update(out.splice, [&] {
+      eng.on_cells_rewired(rewired);
+      eng.update();
+    });
     t_inc += now_seconds() - t0;
 
     t0 = now_seconds();
     TimingGraph fresh(f.nl, f.pl, f.dm);
     t_full += now_seconds() - t0;
-    ++done;
+    count_rebuild(out.splice, fresh);
 
     if (std::abs(fresh.critical_delay() - eng.graph().critical_delay()) > 1e-9) {
       std::fprintf(stderr, "MISMATCH splice: %f vs %f\n", fresh.critical_delay(),
@@ -153,6 +197,7 @@ void bench_splices(Fixture& f, SizeResult& out, int reps) {
       std::exit(1);
     }
   }
+  const auto done = static_cast<double>(out.splice.ops);
   out.rebuild_splice_us = 1e6 * t_full / done;
   out.incremental_splice_us = 1e6 * t_inc / done;
   out.splice_speedup = t_full / t_inc;
@@ -161,9 +206,13 @@ void bench_splices(Fixture& f, SizeResult& out, int reps) {
 }  // namespace
 }  // namespace repro
 
-int main() {
+int main(int argc, char** argv) {
   using namespace repro;
-  const int sizes[] = {200, 800, 3200};
+  bench::BenchArgs args;
+  if (!bench::parse_bench_args(argc, argv, "incremental_sta", &args)) return 2;
+  const bool smoke = args.smoke;
+  const std::vector<int> sizes =
+      smoke ? std::vector<int>{200} : std::vector<int>{200, 800, 3200};
   std::vector<SizeResult> results;
   for (int num_logic : sizes) {
     Fixture f(num_logic, 17);
@@ -179,11 +228,31 @@ int main() {
     bench_splices(f, r, reps / 2);
     std::printf(
         "n=%5d  move: full %8.1fus  incr %7.2fus  (%6.1fx)   "
-        "splice: full %8.1fus  incr %7.2fus  (%6.1fx)\n",
+        "splice: full %8.1fus  incr %7.2fus  (%6.1fx)\n"
+        "         per move: %.1f nodes / %.1f edges re-timed vs %.0f / %.0f rebuilt   "
+        "per splice: %.1f / %.1f vs %.0f / %.0f\n",
         r.num_logic, r.rebuild_move_us, r.incremental_move_us, r.move_speedup,
-        r.rebuild_splice_us, r.incremental_splice_us, r.splice_speedup);
+        r.rebuild_splice_us, r.incremental_splice_us, r.splice_speedup,
+        per_op(r.move, r.move.nodes_retimed), per_op(r.move, r.move.edges_redelayed),
+        per_op(r.move, r.move.rebuild_nodes), per_op(r.move, r.move.rebuild_edges),
+        per_op(r.splice, r.splice.nodes_retimed), per_op(r.splice, r.splice.edges_redelayed),
+        per_op(r.splice, r.splice.rebuild_nodes), per_op(r.splice, r.splice.rebuild_edges));
     results.push_back(r);
   }
+
+  // The smoke gate reads the smallest size, which both full and smoke runs
+  // execute first.
+  std::vector<bench::GateField> smoke_gate;
+  for (const auto& [name, w] : {std::pair<const char*, const Work&>{"move", results[0].move},
+                                std::pair<const char*, const Work&>{"splice", results[0].splice}}) {
+    const std::string k = std::string("smoke_") + name + "_";
+    smoke_gate.push_back(bench::exact(k + "ops", w.ops));
+    smoke_gate.push_back(bench::exact(k + "nodes_retimed", w.nodes_retimed));
+    smoke_gate.push_back(bench::exact(k + "edges_redelayed", w.edges_redelayed));
+    smoke_gate.push_back(bench::exact(k + "rebuild_nodes", w.rebuild_nodes));
+    smoke_gate.push_back(bench::exact(k + "rebuild_edges", w.rebuild_edges));
+  }
+  const int failures = bench::check_gates(args, smoke_gate, {});
 
   FILE* out = std::fopen("BENCH_incremental_sta.json", "w");
   if (!out) {
@@ -192,7 +261,14 @@ int main() {
   }
   std::fprintf(out, "{\n");
   bench::emit_summary(out, "incremental_sta", results.back().move_speedup);
-  std::fprintf(out, "  \"benchmark\": \"incremental_sta\",\n  \"sizes\": [\n");
+  std::fprintf(out, "  \"benchmark\": \"incremental_sta\",\n  \"smoke\": %s,\n",
+               smoke ? "true" : "false");
+  bench::write_smoke_gate(out, smoke_gate);
+  std::fprintf(out,
+               "  \"note\": \"work counts are totals over each size's reps and "
+               "hardware-independent: timing nodes re-timed and edges re-delayed by the "
+               "incremental updates, against the nodes and edges of the rebuilt graphs; "
+               "microseconds are machine-dependent telemetry\",\n  \"sizes\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SizeResult& r = results[i];
     std::fprintf(out,
@@ -201,13 +277,24 @@ int main() {
                  "     \"move_full_rebuild_us\": %.2f, \"move_incremental_us\": "
                  "%.3f, \"move_speedup\": %.1f,\n"
                  "     \"splice_full_rebuild_us\": %.2f, "
-                 "\"splice_incremental_us\": %.3f, \"splice_speedup\": %.1f}%s\n",
+                 "\"splice_incremental_us\": %.3f, \"splice_speedup\": %.1f,\n",
                  r.num_logic, r.nodes, r.edges, r.rebuild_move_us,
                  r.incremental_move_us, r.move_speedup, r.rebuild_splice_us,
-                 r.incremental_splice_us, r.splice_speedup,
-                 i + 1 < results.size() ? "," : "");
+                 r.incremental_splice_us, r.splice_speedup);
+    for (const auto& [name, w] : {std::pair<const char*, const Work&>{"move", r.move},
+                                  std::pair<const char*, const Work&>{"splice", r.splice}})
+      std::fprintf(out,
+                   "     \"%s_ops\": %llu, \"%s_nodes_retimed\": %llu, "
+                   "\"%s_edges_redelayed\": %llu, \"%s_rebuild_nodes\": %llu, "
+                   "\"%s_rebuild_edges\": %llu%s\n",
+                   name, static_cast<unsigned long long>(w.ops), name,
+                   static_cast<unsigned long long>(w.nodes_retimed), name,
+                   static_cast<unsigned long long>(w.edges_redelayed), name,
+                   static_cast<unsigned long long>(w.rebuild_nodes), name,
+                   static_cast<unsigned long long>(w.rebuild_edges),
+                   &w == &r.move ? "," : (i + 1 < results.size() ? "}," : "}"));
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

@@ -1,6 +1,7 @@
 #include "embed/embedder.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 #include <limits>
@@ -52,8 +53,12 @@ std::size_t EmbedScratch::capacity_bytes() const {
   std::size_t bytes = work.capacity() * sizeof(LabelList) + cold.capacity_bytes() +
                       keys.capacity() * sizeof(LabelKey) +
                       (key_index.capacity() + key_offsets.capacity() + offsets.capacity() +
-                       row.capacity() + key_row.capacity()) *
+                       row.capacity() + key_row.capacity() + kept_rank.capacity() +
+                       trail.capacity() + old_row.capacity() + label_base.capacity()) *
                           sizeof(std::uint32_t) +
+                      kept.capacity() * sizeof(std::uint64_t) +
+                      spans.capacity() * sizeof(FrozenSpan) +
+                      reached.capacity() + joins.capacity() * sizeof(LabelRef) +
                       leaf_steps.capacity() * sizeof(LeafStep) + spill.capacity_bytes() +
                       stairs.capacity() * sizeof(stairs[0]) +
                       merged.capacity() * sizeof(SweepLabel);
@@ -446,8 +451,7 @@ bool FaninTreeEmbedder::implicit_leaf_label(TreeNodeId c, std::size_t jv,
 void FaninTreeEmbedder::join_vertex_range(TreeNodeId i, std::size_t lo, std::size_t hi,
                                           WorkBuffers& wb,
                                           std::vector<std::uint32_t>& spill,
-                                          std::size_t spill_base, std::size_t& created,
-                                          EmbedCounters& work) {
+                                          std::size_t& created, EmbedCounters& work) {
   const FaninTreeNode& node = tree_.node(i);
   const std::size_t fanin = node.children.size();
   assert(fanin <= kMaxFanin);
@@ -670,7 +674,7 @@ void FaninTreeEmbedder::join_vertex_range(TreeNodeId i, std::size_t lo, std::siz
       if (fanin <= 2) {
         std::copy_n(p.child_labels, fanin, cold.prov.child_labels_inline);
       } else {
-        cold.prov.spill_index = static_cast<std::int32_t>(spill_base + spill.size());
+        cold.prov.spill_index = static_cast<std::int32_t>(spill.size());
         spill.insert(spill.end(), p.child_labels, p.child_labels + fanin);
       }
       insert_label(out, key, cold, wb, created);
@@ -686,8 +690,7 @@ void FaninTreeEmbedder::join_node(TreeNodeId i, bool root_mode) {
   assert(!node.is_leaf());
   auto join_serially = [&](std::size_t lo, std::size_t hi) {
     buffers_.spill.clear();
-    join_vertex_range(i, lo, hi, buffers_, buffers_.spill, mem_.spill.size(),
-                      labels_created_, counters_);
+    join_vertex_range(i, lo, hi, buffers_, buffers_.spill, labels_created_, counters_);
     mem_.spill.append(buffers_.spill.data(), buffers_.spill.data() + buffers_.spill.size());
   };
 
@@ -714,9 +717,9 @@ void FaninTreeEmbedder::join_node(TreeNodeId i, bool root_mode) {
   // Parallel join: the A[i][*] columns only read the children's frozen
   // lists, so contiguous vertex chunks are processed concurrently. Each
   // chunk appends >2-child provenance to its own arena; arenas are appended
-  // to the spill pool in chunk (= vertex) order with the offsets rebased, so
-  // the spill pool layout — and every label bit — matches the serial
-  // embedder. Counters are integers, so their sums match it too.
+  // to the node's spill run in chunk (= vertex) order with the offsets
+  // rebased, so the spill pool layout — and every label bit — matches the
+  // serial embedder. Counters are integers, so their sums match it too.
   const std::size_t grain =
       std::max<std::size_t>(16, nv / (4 * pool->num_threads()));
   const std::size_t nchunks = (nv + grain - 1) / grain;
@@ -727,10 +730,10 @@ void FaninTreeEmbedder::join_node(TreeNodeId i, bool root_mode) {
     const std::size_t lo = c * grain;
     const std::size_t hi = std::min(nv, lo + grain);
     WorkBuffers wb;
-    join_vertex_range(i, lo, hi, wb, arenas[c], 0, created[c], work[c]);
+    join_vertex_range(i, lo, hi, wb, arenas[c], created[c], work[c]);
   });
   for (std::size_t c = 0; c < nchunks; ++c) {
-    const auto base = static_cast<std::int32_t>(mem_.spill.size());
+    const auto base = static_cast<std::int32_t>(mem_.spill.size() - spill_begin_);
     if (base > 0 && !arenas[c].empty()) {
       const std::size_t lo = c * grain;
       const std::size_t hi = std::min(nv, lo + grain);
@@ -749,19 +752,24 @@ FaninTreeEmbedder::FrozenList FaninTreeEmbedder::frozen(TreeNodeId i,
                                                         std::size_t j) const {
   const std::uint32_t* keys = mem_.key_offsets.data() + mem_.key_row[i.index()];
   return FrozenList{mem_.keys.data() + keys[j], mem_.key_index.data() + keys[j],
-                    keys[j + 1] - keys[j], offsets_row(i)[j]};
+                    keys[j + 1] - keys[j], static_cast<std::uint32_t>(cold_at(i, j))};
 }
 
 void FaninTreeEmbedder::freeze(TreeNodeId i, bool swept) {
-  // The cold halves keep every label, dead ones included, in index order;
-  // the key stack gets the live keys and their label indices.
+  // The cold halves keep every label, dead ones included, in index order,
+  // until i's parent is frozen; the key stack gets the live keys and their
+  // label indices.
   const std::size_t nv = mem_.work.size();
-  mem_.row[i.index()] = static_cast<std::uint32_t>(mem_.offsets.size() / (nv + 1));
+  const std::uint32_t first = compact_children(i, swept);
+  const auto cold_base = static_cast<std::uint32_t>(mem_.cold.size());
+  mem_.row[i.index()] = static_cast<std::uint32_t>(mem_.spans.size());
+  mem_.spans.push_back(
+      FrozenSpan{cold_base, static_cast<std::uint32_t>(spill_begin_), first});
   mem_.key_row[i.index()] = static_cast<std::uint32_t>(mem_.key_offsets.size());
   for (std::size_t j = 0; j < nv; ++j) {
     LabelList& list = mem_.work[j];
     const std::size_t first_key = mem_.keys.size();
-    mem_.offsets.push_back(static_cast<std::uint32_t>(mem_.cold.size()));
+    mem_.offsets.push_back(static_cast<std::uint32_t>(mem_.cold.size() - cold_base));
     mem_.key_offsets.push_back(static_cast<std::uint32_t>(first_key));
     mem_.cold.append(list.cold.data(), list.cold.data() + list.cold.size());
     if (swept) {
@@ -801,8 +809,173 @@ void FaninTreeEmbedder::freeze(TreeNodeId i, bool swept) {
   }
   if (mem_.cold.size() > std::numeric_limits<std::uint32_t>::max())
     throw std::length_error("FaninTreeEmbedder: more than 2^32 labels in one embedding");
-  mem_.offsets.push_back(static_cast<std::uint32_t>(mem_.cold.size()));
+  mem_.offsets.push_back(static_cast<std::uint32_t>(mem_.cold.size() - cold_base));
   mem_.key_offsets.push_back(static_cast<std::uint32_t>(mem_.keys.size()));
+}
+
+std::uint32_t FaninTreeEmbedder::compact_children(TreeNodeId p, bool swept) {
+  const auto rows = static_cast<std::uint32_t>(mem_.spans.size());
+  const FaninTreeNode& node = tree_.node(p);
+  const std::size_t fanin = node.children.size();
+  auto next_stored = [&](std::size_t k) {
+    while (k < fanin && is_implicit_leaf(node.children[k])) ++k;
+    return k;
+  };
+  std::size_t k = next_stored(0);
+  if (k == fanin) return rows;
+  // In post-order, p's subtree is the tail of the arena and of the spill
+  // pool from its first frozen node on, then p's own spill run.
+  const std::uint32_t first = mem_.spans[mem_.row[node.children[k].index()]].first;
+
+  // Mark the labels of p that its live labels reach along augment chains,
+  // and keep the joins among them: only their child indices can be read.
+  std::vector<LabelList>& lists = mem_.work;
+  const std::size_t nv = lists.size();
+  std::vector<std::uint32_t>& base = mem_.label_base;
+  base.resize(nv + 1);
+  base[0] = 0;
+  for (std::size_t j = 0; j < nv; ++j)
+    base[j + 1] = base[j] + static_cast<std::uint32_t>(lists[j].cold.size());
+  std::vector<std::uint8_t>& reached = mem_.reached;
+  reached.assign(base[nv], 0);
+  std::vector<LabelRef>& joins = mem_.joins;
+  joins.clear();
+  auto reach = [&](std::size_t j, std::uint32_t li) {
+    std::uint8_t& r = reached[base[j] + li];
+    if (!r) {
+      r = 1;
+      joins.push_back(LabelRef{static_cast<std::uint32_t>(j), li});
+    }
+  };
+  for (std::size_t j = 0; j < nv; ++j) {
+    if (swept) {
+      // A staircase entry is a label of the list it came from.
+      for (const SweepLabel& s : mem_.stairs[j]) reach(s.origin.index(), s.origin_label);
+    } else {
+      for (std::uint32_t li = 0; li < lists[j].key.size(); ++li)
+        if (!lists[j].key[li].dead) reach(j, li);
+    }
+  }
+  for (std::size_t n = 0; n < joins.size(); ++n) {
+    const Provenance& prov = lists[joins[n].vertex].cold[joins[n].label].prov;
+    if (prov.kind == Provenance::Kind::kAugment) reach(prov.from.index(), prov.pred_label);
+  }
+  std::erase_if(joins, [&](LabelRef r) {
+    return lists[r.vertex].cold[r.label].prov.kind != Provenance::Kind::kJoin;
+  });
+
+  // Slide the subtree down, cutting each stored child to what the reached
+  // joins reach in it; the other nodes were cut at their own parents'
+  // freezes and only move.
+  const std::size_t stride = nv + 1;
+  std::size_t cold_to = mem_.spans[first].cold;
+  std::size_t spill_to = mem_.spans[first].spill;
+  for (std::uint32_t r = first; r < rows; ++r) {
+    FrozenSpan& span = mem_.spans[r];
+    const std::size_t cold_from = span.cold;
+    const std::size_t spill_from = span.spill;
+    const std::size_t cold_end = r + 1 < rows ? mem_.spans[r + 1].cold : mem_.cold.size();
+    const std::size_t spill_end = r + 1 < rows ? mem_.spans[r + 1].spill : spill_begin_;
+    span.cold = static_cast<std::uint32_t>(cold_to);
+    span.spill = static_cast<std::uint32_t>(spill_to);
+    if (k == fanin || mem_.row[node.children[k].index()] != r) {
+      if (cold_to != cold_from) mem_.cold.move_down(cold_from, cold_to, cold_end - cold_from);
+      if (spill_to != spill_from)
+        mem_.spill.move_down(spill_from, spill_to, spill_end - spill_from);
+      cold_to += cold_end - cold_from;
+      spill_to += spill_end - spill_from;
+      continue;
+    }
+
+    // Child c: mark what the reached joins of p point at, then follow c's
+    // own augment chains.
+    std::uint32_t* row = mem_.offsets.data() + r * stride;
+    std::vector<std::uint32_t>& old_row = mem_.old_row;
+    old_row.assign(row, row + stride);
+    const std::size_t len = old_row[nv];
+    // One bit per label; the extra word lets rank() take q == len.
+    std::vector<std::uint64_t>& kept = mem_.kept;
+    kept.assign(len / 64 + 1, 0);
+    std::vector<std::uint32_t>& trail = mem_.trail;
+    auto mark = [&](std::size_t q) {
+      const std::uint64_t bit = std::uint64_t{1} << (q & 63);
+      if (!(kept[q >> 6] & bit)) {
+        kept[q >> 6] |= bit;
+        trail.push_back(static_cast<std::uint32_t>(q));
+      }
+    };
+    for (const LabelRef ref : joins)
+      mark(old_row[ref.vertex] +
+           child_label(lists[ref.vertex].cold[ref.label].prov, spill_begin_, k));
+    while (!trail.empty()) {
+      const Provenance& prov = mem_.cold[cold_from + trail.back()].prov;
+      trail.pop_back();
+      if (prov.kind == Provenance::Kind::kAugment)
+        mark(old_row[prov.from.index()] + prov.pred_label);
+    }
+    // Kept labels keep their order in each A[c][j]: a label's new index is
+    // the number of kept labels before it in c, less those before A[c][j].
+    std::vector<std::uint32_t>& rank_base = mem_.kept_rank;
+    rank_base.resize(kept.size());
+    std::uint32_t total = 0;
+    for (std::size_t w = 0; w < kept.size(); ++w) {
+      rank_base[w] = total;
+      total += static_cast<std::uint32_t>(std::popcount(kept[w]));
+    }
+    auto rank = [&](std::size_t q) {
+      const std::uint64_t below = (std::uint64_t{1} << (q & 63)) - 1;
+      return rank_base[q >> 6] + static_cast<std::uint32_t>(std::popcount(kept[q >> 6] & below));
+    };
+    for (std::size_t j = 0; j <= nv; ++j) row[j] = rank(old_row[j]);
+    auto remap = [&](std::size_t j, std::uint32_t li) {
+      assert(kept[(old_row[j] + li) >> 6] >> ((old_row[j] + li) & 63) & 1);
+      return rank(old_row[j] + li) - row[j];
+    };
+    // Copy them down with their pointers into c rewritten. Spill runs rise
+    // with the label order, so they copy down front first too.
+    const std::size_t child_fanin = tree_.node(node.children[k]).children.size();
+    std::size_t to = cold_to;
+    std::size_t spilled = 0;
+    for (std::size_t w = 0; w < kept.size(); ++w)
+      for (std::uint64_t bits = kept[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t q = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        LabelCold l = mem_.cold[cold_from + q];
+        if (l.prov.kind == Provenance::Kind::kAugment) {
+          l.prov.pred_label = remap(l.prov.from.index(), l.prov.pred_label);
+        } else if (l.prov.kind == Provenance::Kind::kJoin && l.prov.spill_index >= 0) {
+          mem_.spill.move_down(spill_from + static_cast<std::size_t>(l.prov.spill_index),
+                               spill_to + spilled, child_fanin);
+          l.prov.spill_index = static_cast<std::int32_t>(spilled);
+          spilled += child_fanin;
+        }
+        mem_.cold[to++] = l;
+      }
+    // And p's reached joins point at the new indices.
+    for (const LabelRef ref : joins) {
+      std::uint32_t& idx = child_label(lists[ref.vertex].cold[ref.label].prov, spill_begin_, k);
+      idx = remap(ref.vertex, idx);
+    }
+    counters_.labels_compacted += len - total;
+    cold_to += total;
+    spill_to += spilled;
+    k = next_stored(k + 1);
+  }
+  // p's own spill run comes last.
+  const std::size_t run = mem_.spill.size() - spill_begin_;
+  if (spill_to != spill_begin_) mem_.spill.move_down(spill_begin_, spill_to, run);
+  mem_.spill.truncate(spill_to + run);
+  spill_begin_ = spill_to;
+  mem_.cold.truncate(cold_to);
+#ifndef NDEBUG
+  // Nothing reads the child indices of p's unreached joins: they are stale.
+  for (std::size_t j = 0; j < nv; ++j)
+    for (std::uint32_t li = 0; li < lists[j].cold.size(); ++li) {
+      Provenance& prov = lists[j].cold[li].prov;
+      if (!reached[base[j] + li] && prov.kind == Provenance::Kind::kJoin)
+        for (std::size_t c = 0; c < fanin; ++c) child_label(prov, spill_begin_, c) = kDropped;
+    }
+#endif
+  return first;
 }
 
 bool FaninTreeEmbedder::run() {
@@ -815,6 +988,7 @@ bool FaninTreeEmbedder::run() {
   mem_.key_index.clear();
   mem_.key_offsets.clear();
   mem_.offsets.clear();
+  mem_.spans.clear();
   mem_.leaf_steps.clear();
   mem_.spill.clear();
   mem_.row.resize(tree_.size());
@@ -838,6 +1012,7 @@ bool FaninTreeEmbedder::run() {
       return false;
     }
     if (is_implicit_leaf(i)) continue;
+    spill_begin_ = mem_.spill.size();
     if (node.is_leaf()) {
       LabelKey key;  // fixed terminals carry no placement cost (Section II)
       LabelCold cold;
@@ -942,8 +1117,10 @@ TreeEmbedding FaninTreeEmbedder::extract(int tradeoff_index) const {
       out.set(f.node, leaves_[f.node.index()].vertex);
       continue;
     }
-    const Provenance& prov =
-        mem_.cold[offsets_row(f.node)[f.vertex.index()] + f.label].prov;
+    const std::uint32_t r = mem_.row[f.node.index()];
+    const std::uint32_t* row = mem_.offsets.data() + r * (graph_.num_vertices() + 1);
+    assert(f.label < row[f.vertex.index() + 1] - row[f.vertex.index()]);
+    const Provenance& prov = mem_.cold[mem_.spans[r].cold + row[f.vertex.index()] + f.label].prov;
     switch (prov.kind) {
       case Provenance::Kind::kInitial:
         out.set(f.node, f.vertex);
@@ -957,7 +1134,8 @@ TreeEmbedding FaninTreeEmbedder::extract(int tradeoff_index) const {
         for (std::size_t k = 0; k < node.children.size(); ++k)
           stack.push_back(Frame{node.children[k], f.vertex,
                                 prov.spill_index >= 0
-                                    ? mem_.spill[static_cast<std::size_t>(prov.spill_index) + k]
+                                    ? mem_.spill[mem_.spans[r].spill +
+                                                 static_cast<std::size_t>(prov.spill_index) + k]
                                     : prov.child_labels_inline[k]});
         break;
       }

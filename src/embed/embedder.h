@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -123,6 +124,21 @@ class ChunkedArena {
       size_ += n;
     }
   }
+  /// Drops the entries from n on; the chunks stay for later appends.
+  void truncate(std::size_t n) { size_ = std::min(size_, n); }
+  /// Copies the n entries at `from` down to `to` (to <= from), front first.
+  void move_down(std::size_t from, std::size_t to, std::size_t n) {
+    assert(to <= from && from + n <= size_);
+    while (n > 0) {
+      const std::size_t span = std::min(
+          {n, kChunk - (from & (kChunk - 1)), kChunk - (to & (kChunk - 1))});
+      const T* src = &(*this)[from];
+      std::copy(src, src + span, &(*this)[to]);
+      from += span;
+      to += span;
+      n -= span;
+    }
+  }
   std::size_t capacity_bytes() const {
     return chunks_.size() * kChunk * sizeof(T) + chunks_.capacity() * sizeof(chunks_[0]);
   }
@@ -139,11 +155,28 @@ struct LeafStep {
   double delay;
 };
 
+/// Where one frozen node's provenance sits: its first label in the cold
+/// arena (its row of offsets is relative to it), its first join's spill
+/// entry, and the row of the first frozen node of its subtree.
+struct FrozenSpan {
+  std::uint32_t cold = 0;
+  std::uint32_t spill = 0;
+  std::uint32_t first = 0;
+};
+
+/// A label of the node being frozen: its vertex and its index there.
+struct LabelRef {
+  std::uint32_t vertex;
+  std::uint32_t label;
+};
+
 /// The embedder's label arena (docs/ALGORITHMS.md §1, "Label store"). Only
 /// the node being processed has growable per-vertex lists; when the node is
 /// done they are frozen: the cold halves are appended to one arena
 /// that extraction reads, the live keys are pushed onto a stack that lives
 /// only until the parent's join, and per-node rows of offsets locate both.
+/// At the freeze each frozen child is cut to the labels its parent's live
+/// labels reach, and the parent's subtree slides down over the freed space.
 /// Passing a scratch to FaninTreeEmbedder adopts the capacities an earlier
 /// embedding grew, and the destructor returns them, so a loop that embeds
 /// one tree per iteration (the replication engine — one embedder per sink)
@@ -152,8 +185,9 @@ struct LeafStep {
 struct EmbedScratch {
   /// The working lists: A[i][*] of the node being processed.
   std::vector<LabelList> work;
-  /// Cold halves of every frozen node, in post-order, per node by vertex,
-  /// dead labels included.
+  /// Cold halves of every frozen node, in post-order, per node by vertex:
+  /// all labels of a node until its parent is frozen, then the ones the
+  /// parent's live labels reach.
   ChunkedArena<LabelCold> cold;
   /// Live keys of the frozen nodes whose parent is not yet joined, and each
   /// key's label index in its A[i][j]. In post-order these nodes form a stack.
@@ -162,9 +196,11 @@ struct EmbedScratch {
   /// Per stacked node, num_vertices + 1 entries: index in `keys` of the first
   /// live key of each A[i][j], then the end of node i's keys.
   std::vector<std::uint32_t> key_offsets;
-  /// Per frozen node, num_vertices + 1 entries: index in `cold` of label 0 of
-  /// each A[i][j], then the end of node i's labels.
+  /// Per frozen node, num_vertices + 1 entries: index of label 0 of each
+  /// A[i][j] from the node's first label, then the node's label count.
   std::vector<std::uint32_t> offsets;
+  /// Per frozen node, in post-order (by row of `offsets`).
+  std::vector<FrozenSpan> spans;
   /// Per tree node: its row in `offsets` and, while it is stacked, the start
   /// of its row in `key_offsets`.
   std::vector<std::uint32_t> row;
@@ -172,8 +208,21 @@ struct EmbedScratch {
   /// Distance tables of the implicit leaves whose parent is not yet joined.
   std::vector<LeafStep> leaf_steps;
   /// Child label indices of joins with more than two children, contiguous
-  /// from each label's Provenance::spill_index.
+  /// from each label's Provenance::spill_index past its node's first entry.
   ChunkedArena<std::uint32_t> spill;
+  /// Compaction at a freeze: which labels of the node being frozen its live
+  /// labels reach, the reached joins among them, one bit per label of one
+  /// child that is kept, the kept labels before each 64-label word, and a
+  /// work stack for the marks.
+  std::vector<std::uint8_t> reached;
+  std::vector<LabelRef> joins;
+  std::vector<std::uint64_t> kept;
+  std::vector<std::uint32_t> kept_rank;
+  std::vector<std::uint32_t> trail;
+  /// The node's labels by vertex in one index space, and the child's row of
+  /// `offsets` before it is cut.
+  std::vector<std::uint32_t> label_base;
+  std::vector<std::uint32_t> old_row;
   /// The mesh sweep's per-vertex staircases and its merge buffer.
   std::vector<std::vector<SweepLabel>> stairs;
   std::vector<SweepLabel> merged;
@@ -198,6 +247,9 @@ struct EmbedCounters {
   /// destination unchanged because no shifted entry survived.
   std::uint64_t sweep_merges = 0;
   std::uint64_t sweep_merges_unchanged = 0;
+  /// Labels of frozen children that their parent's live labels do not
+  /// reach, dropped from the arena at the parent's freeze.
+  std::uint64_t labels_compacted = 0;
 
   EmbedCounters& operator+=(const EmbedCounters& o) {
     implicit_leaves += o.implicit_leaves;
@@ -206,6 +258,7 @@ struct EmbedCounters {
     partial_compares += o.partial_compares;
     sweep_merges += o.sweep_merges;
     sweep_merges_unchanged += o.sweep_merges_unchanged;
+    labels_compacted += o.labels_compacted;
     return *this;
   }
 };
@@ -273,6 +326,9 @@ class FaninTreeEmbedder {
 
  private:
   static constexpr std::uint32_t kRejected = ~std::uint32_t{0};
+  /// In debug builds, the child indices of the joins compaction left
+  /// unreached, so that a stray read asserts.
+  static constexpr std::uint32_t kDropped = ~std::uint32_t{0};
 
   struct PartialJoin {
     double cost = 0;
@@ -327,14 +383,13 @@ class FaninTreeEmbedder {
   void cap_staircase(std::vector<SweepLabel>& s) const;
   void join_node(TreeNodeId i, bool root_mode);
   /// Joins node i at every vertex in [lo, hi), appending >2-child provenance
-  /// to `spill` (its first entry will sit at `spill_base` in the arena), and
-  /// counting new labels in `created` and work in `work`. Reads the
-  /// children's frozen lists and writes only the working lists lo..hi — safe
-  /// to run ranges concurrently.
+  /// to `spill` (spill indices count from its start), and counting new
+  /// labels in `created` and work in `work`. Reads the children's frozen
+  /// lists and writes only the working lists lo..hi — safe to run ranges
+  /// concurrently.
   void join_vertex_range(TreeNodeId i, std::size_t lo, std::size_t hi,
                          WorkBuffers& wb, std::vector<std::uint32_t>& spill,
-                         std::size_t spill_base, std::size_t& created,
-                         EmbedCounters& work);
+                         std::size_t& created, EmbedCounters& work);
   double augment_delay_delta(std::int32_t stem_len, double edge_delay_or_len) const;
 
   /// A frozen A[i][j]: its `size` live keys at `key`, their label indices at
@@ -347,15 +402,28 @@ class FaninTreeEmbedder {
   };
   /// Node i's frozen A[i][j]; i must be stacked.
   FrozenList frozen(TreeNodeId i, std::size_t j) const;
-  /// Node i's row of mem_.offsets.
-  const std::uint32_t* offsets_row(TreeNodeId i) const {
-    return mem_.offsets.data() + mem_.row[i.index()] * (graph_.num_vertices() + 1);
+  /// Index in mem_.cold of label 0 of frozen A[i][j].
+  std::size_t cold_at(TreeNodeId i, std::size_t j) const {
+    const std::uint32_t r = mem_.row[i.index()];
+    return mem_.spans[r].cold + mem_.offsets[r * (graph_.num_vertices() + 1) + j];
   }
   /// Moves node i's frontiers into the arena as its frozen lists and clears
   /// the working lists. With `swept`, the frontiers are the working lists
   /// cut to the entries left on mem_.stairs plus the staircase entries that
   /// came from other vertices, which are appended in staircase order.
   void freeze(TreeNodeId i, bool swept);
+  /// Cuts each stored child of node i, which is being frozen, to the labels
+  /// i's live labels reach, rewriting the indices into it, and slides i's
+  /// subtree and join spill down over the freed space (docs/ALGORITHMS.md
+  /// §1). Returns the row of the first frozen node of i's subtree.
+  std::uint32_t compact_children(TreeNodeId i, bool swept);
+  /// The child index of frozen or working join `prov` of a node whose spill
+  /// run starts at `spill`, for its k-th child.
+  std::uint32_t& child_label(Provenance& prov, std::size_t spill, std::size_t k) {
+    return prov.spill_index >= 0
+               ? mem_.spill[spill + static_cast<std::size_t>(prov.spill_index) + k]
+               : prov.child_labels_inline[k];
+  }
   /// The check of check_frontiers() on one frozen list's live keys.
   bool is_antichain(const LabelKey* key, std::size_t n) const;
 
@@ -421,6 +489,9 @@ class FaninTreeEmbedder {
   bool implicit_leaves_ = false;
   /// Indexed by tree node; set for implicit leaves.
   std::vector<ImplicitLeaf> leaves_;
+
+  /// Where the spill run of the node being processed starts in mem_.spill.
+  std::size_t spill_begin_ = 0;
 
   std::vector<RootSolution> tradeoff_;
   std::size_t labels_created_ = 0;

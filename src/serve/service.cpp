@@ -558,8 +558,11 @@ std::vector<JobResult> FlowService::run_batch(
   std::vector<JobResult> results(specs.size());
   std::vector<JobTicket> tickets(specs.size());
   const std::vector<std::string> errors = validate_batch(specs);
-  ThreadPool pool(opt_.threads > 0 ? static_cast<unsigned>(opt_.threads)
-                                   : ThreadPool::hardware_threads());
+  // The caller only waits on the futures, so every concurrent job gets a
+  // worker of its own; a single job at a time runs inline on the caller.
+  const unsigned concurrent = opt_.threads > 0 ? static_cast<unsigned>(opt_.threads)
+                                               : ThreadPool::hardware_threads();
+  ThreadPool pool(concurrent > 1 ? concurrent + 1 : 1);
   const double submitted = now_seconds();
   std::vector<std::future<void>> jobs;
   for (std::size_t i = 0; i < specs.size(); ++i) {

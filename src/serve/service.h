@@ -13,7 +13,8 @@ namespace repro {
 
 /// Options for the flow service.
 struct ServiceOptions {
-  /// Concurrent jobs (0 = hardware concurrency, 1 = sequential).
+  /// Jobs run at once (0 = hardware concurrency, 1 = sequential, on the
+  /// calling thread).
   int threads = 1;
   /// Default embedder join threads inside each job's replication engine
   /// (results are bit-identical for every value; 1 avoids oversubscribing
@@ -196,8 +197,10 @@ class RetryPolicy {
 /// cooperative checkpoints (annealer temperatures, engine iterations, router
 /// passes). A failing, hanging or timed-out job never takes the batch down:
 /// it is reported FAILED/TIMED_OUT with a nonzero per-job error code and the
-/// remaining jobs complete. Jobs run as tasks on a ThreadPool(threads), each
-/// looping attempt -> run_attempt -> RetryPolicy::settle -> backoff.
+/// remaining jobs complete. Jobs run as tasks on a ThreadPool with one worker
+/// per concurrent job (ServiceOptions::threads of them; the caller only
+/// waits), each looping attempt -> run_attempt -> RetryPolicy::settle ->
+/// backoff.
 class FlowService {
  public:
   explicit FlowService(const ServiceOptions& opt);

@@ -778,6 +778,130 @@ TEST(SweepVsGenDijkstra, TerminalWithTwoEdgesToItsAnchorKeepsStoredLeaves) {
   }
 }
 
+// ---- every extraction, pinned ---------------------------------------------------
+//
+// Compaction at the parent's freeze cuts each frozen child to the labels its
+// parent's live labels reach and rewrites the label indices extraction
+// follows (docs/ALGORITHMS.md §1). These digests cover the extraction of
+// every trade-off entry over many seeds: on GenDijkstra graphs, with and
+// without the label cap (the cap kills labels that were already expanded,
+// so augment chains run through dead labels), and on the mesh sweep. They
+// were captured from the embedder as it stood before compaction.
+
+/// FNV-1a over every trade-off entry's vertex, label index and cost/delay
+/// bits, and the vertex of every tree node in its extracted embedding.
+void mix_extractions(const FaninTreeEmbedder& e, std::uint64_t& h) {
+  auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 1099511628211ull;
+  };
+  auto mix_d = [&mix](double d) {
+    std::uint64_t b;
+    std::memcpy(&b, &d, sizeof b);
+    mix(b);
+  };
+  for (std::size_t k = 0; k < e.tradeoff().size(); ++k) {
+    const RootSolution& rs = e.tradeoff()[k];
+    mix(rs.vertex.value());
+    mix(rs.label_index);
+    mix_d(rs.cost);
+    for (int d = 0; d < rs.delay.n; ++d) mix_d(rs.delay.v[d]);
+    const TreeEmbedding emb = e.extract(static_cast<int>(k));
+    for (EmbedVertexId v : emb.raw()) mix(v.value());
+  }
+}
+
+TEST(ExtractionDigest, EveryTradeoffEntryOnGenDijkstraGraphs) {
+  struct Pinned {
+    const char* config;
+    void (*apply)(EmbedOptions&);
+    std::uint64_t digest;
+  };
+  const Pinned pinned[] = {
+      {"rt", [](EmbedOptions&) {}, 0x5d57bba43d5deaa6ull},
+      {"lex3", [](EmbedOptions& o) { o.lex_order = 3; }, 0xd964f749b78dc872ull},
+      {"lex3_cap1",
+       [](EmbedOptions& o) {
+         o.lex_order = 3;
+         o.max_labels = 1;
+       },
+       0x164c3a5c3c7db15dull},
+      {"lex3_cap2",
+       [](EmbedOptions& o) {
+         o.lex_order = 3;
+         o.max_labels = 2;
+       },
+       0xaebe1be2d7ccb85ull},
+      {"lex_mc_cap2",
+       [](EmbedOptions& o) {
+         o.lex_mc = true;
+         o.max_labels = 2;
+       },
+       0xb9088c29ecbabcccull},
+      {"stem_quadratic_cap2",
+       [](EmbedOptions& o) {
+         o.stem_delay = [](int len) { return static_cast<double>(len) * len; };
+         o.max_labels = 2;
+       },
+       0x88ac523f3413dba2ull},
+      {"overlap_cap2",
+       [](EmbedOptions& o) {
+         o.overlap_avoidance = true;
+         o.branch_capacity = 2;
+         o.max_labels = 2;
+       },
+       0x254fe3d0b77a1d13ull},
+  };
+  for (const Pinned& p : pinned) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (std::uint64_t seed = 0; seed < 24; ++seed) {
+      // Seed 19 (60 vertices) has a dead join two dead hops up an augment
+      // chain under stem delay and the cap.
+      const int vertices = 20 + static_cast<int>(seed % 5) * 10;
+      GoldenCase gc = make_golden_case(irregular_graph(100 + seed, vertices), 200 + seed);
+      EmbedOptions opt;
+      p.apply(opt);
+      FaninTreeEmbedder e(
+          gc.tree, gc.graph,
+          [&gc](TreeNodeId i, EmbedVertexId j) { return gc.pcost[i.index()][j.index()]; },
+          opt);
+      if (e.run()) mix_extractions(e, h);
+    }
+    EXPECT_EQ(h, p.digest) << p.config << " digest 0x" << std::hex << h;
+  }
+}
+
+TEST(ExtractionDigest, EveryTradeoffEntryOnTheMeshSweep) {
+  struct Pinned {
+    int lex;
+    int max_labels;
+    std::uint64_t digest;
+  };
+  const Pinned pinned[] = {{1, 0, 0xcfe68c7f998ba737ull},
+                            {3, 0, 0x49c2b9ead5f95172ull},
+                            {3, 2, 0x9cd904ed09b2baadull}};
+  for (const Pinned& p : pinned) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (std::uint64_t seed = 0; seed < 24; ++seed) {
+      Rng rng(300 + seed);
+      const MeshCase mc = make_mesh_case(rng);
+      EmbeddingGraph g = build_mesh(true, mc.w, mc.h, mc.cost, mc.delay);
+      splice_terminals(g, mc.tree, mc.w, mc.h, mc.cost, mc.delay);
+      auto pcost = [&](TreeNodeId i, EmbedVertexId j) {
+        const Point pt = g.point(j);
+        return mc.pcost.at({i.index(), (static_cast<long long>(pt.y) << 32) | pt.x});
+      };
+      EmbedOptions opt;
+      opt.lex_order = p.lex;
+      opt.max_labels = p.max_labels;
+      FaninTreeEmbedder e(mc.tree, g, pcost, opt);
+      if (e.run()) mix_extractions(e, h);
+    }
+    EXPECT_EQ(h, p.digest) << "lex " << p.lex << " max_labels " << p.max_labels
+                           << " digest 0x" << std::hex << h;
+  }
+}
+
 // ---- embedder work counters ---------------------------------------------------
 
 /// The work counters of one ring-spliced mesh case, serial or with every
@@ -801,23 +925,25 @@ std::string mesh_case_counters(std::uint64_t seed, int lex, int max_labels, Thre
   if (!e.run()) return "no solution";
   if (!e.frontiers_are_antichains()) return "frontier invariant broken";
   const EmbedCounters& c = e.counters();
-  char buf[200];
+  char buf[240];
   std::snprintf(buf, sizeof buf,
                 "leaves %llu candidates %llu skipped %llu compares %llu merges %llu "
-                "unchanged %llu created %zu",
+                "unchanged %llu created %zu compacted %llu",
                 static_cast<unsigned long long>(c.implicit_leaves),
                 static_cast<unsigned long long>(c.join_candidates),
                 static_cast<unsigned long long>(c.join_skipped),
                 static_cast<unsigned long long>(c.partial_compares),
                 static_cast<unsigned long long>(c.sweep_merges),
-                static_cast<unsigned long long>(c.sweep_merges_unchanged), e.labels_created());
+                static_cast<unsigned long long>(c.sweep_merges_unchanged), e.labels_created(),
+                static_cast<unsigned long long>(c.labels_compacted));
   return buf;
 }
 
 TEST(EmbedderCounters, PinnedOnAMeshCase) {
   // The counters measure work, not output (the goldens above pin that), and
   // are the same for every thread count. A change here is a change in how
-  // much work the embedder does on this case.
+  // much work the embedder does on this case, or in how many labels the
+  // freezes compact away.
   struct Pinned {
     std::uint64_t seed;
     int lex;
@@ -827,18 +953,18 @@ TEST(EmbedderCounters, PinnedOnAMeshCase) {
   const Pinned pinned[] = {
       {7053, 1, 0,
        "leaves 10 candidates 2289 skipped 69 compares 755 merges 2431 unchanged 1177 "
-       "created 3740"},
+       "created 3740 compacted 2308"},
       {7053, 3, 0,
        "leaves 10 candidates 4231 skipped 488 compares 3118 merges 2431 unchanged 1138 "
-       "created 5627"},
+       "created 5627 compacted 3514"},
       {7053, 3, 2,
        "leaves 10 candidates 2914 skipped 191 compares 1410 merges 2431 unchanged 1028 "
-       "created 3644"},
+       "created 3644 compacted 1905"},
       // Here a staircase with more than 2·max_labels entries takes no
       // shifted entry, and the merge must still cap it.
       {4, 3, 2,
        "leaves 7 candidates 1395 skipped 3 compares 402 merges 1370 unchanged 796 "
-       "created 1796"},
+       "created 1796 compacted 909"},
   };
   ThreadPool pool(4);
   for (const Pinned& p : pinned) {

@@ -192,13 +192,15 @@ INSTANTIATE_TEST_SUITE_P(Circuits, GoldenTrajectory,
 
 TEST(EmbedArena, Ex5pLex3HoldsOnlyTheUnjoinedKeys) {
   // The embedder keeps live keys only until the parent's join, the cold
-  // halves in one chunked arena, and no labels for implicit leaves
+  // halves in one chunked arena, no labels for implicit leaves, and of a
+  // frozen node only the labels its parent's live labels reach
   // (docs/ALGORITHMS.md §1, "Label store"). Capacities are deterministic, so
   // this pins the arena's peak: per-(node, vertex) lists took 36728844 bytes
-  // here, the post-order arena 6225836, and the arena now 4210912. A fresh
+  // here, the post-order arena 6225836, with implicit leaves and chunks
+  // 4210912, and with compaction at the parent's freeze 1853268. A fresh
   // thread starts with an empty thread-local engine scratch, whatever ran
   // before in this process.
-  constexpr std::uint64_t kMeasuredBytes = 4210912;
+  constexpr std::uint64_t kMeasuredBytes = 1853268;
   arena_counters().reset();
   std::thread([] {
     Placed p("ex5p", 0.10, golden_annealer_options());

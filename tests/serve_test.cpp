@@ -680,6 +680,31 @@ TEST(FlowService, BatchSurvivesHangAndFailure) {
   }
 }
 
+TEST(FlowService, TwoThreadsRunTwoJobsAtOnce) {
+  // threads = 2 runs two jobs side by side: a healthy job starts at once
+  // although the job submitted after it hangs until its 1 s stage timeout.
+  // Run one at a time, the pool would start the later, hanging job first
+  // (a worker pops its newest task) and the healthy one would wait for it.
+  JobSpec good = small_job("tseng", 3, 1);
+  good.route = false;
+
+  JobSpec hang = small_job("ex5p", 3, 1);
+  hang.id = "hang";
+  hang.route = false;
+  hang.inject_hang_stage = "replicate";
+  hang.timeout_seconds = 1.0;
+
+  ServiceOptions opt;
+  opt.threads = 2;
+  FlowService svc(opt);
+  const auto res = svc.run_batch({good, hang});
+  ASSERT_EQ(res.size(), 2u);
+  EXPECT_EQ(res[0].state, JobState::kDone);
+  EXPECT_EQ(res[1].state, JobState::kTimedOut);
+  EXPECT_LT(res[0].queue_seconds, 0.5);
+  EXPECT_LT(res[1].queue_seconds, 0.5);
+}
+
 TEST(FlowService, RejectsDuplicateJobIdsAndBadIds) {
   JobSpec a = small_job("tseng", 3, 1);
   a.route = false;
