@@ -165,27 +165,22 @@ void collect_cell_nets(const Netlist& nl, CellId c, std::vector<NetId>* out) {
 }
 
 struct StructuralEffects {
-  bool legalized = false;
   int legalizer_moves = 0;
   int cells_deleted = 0;
+  /// The legalizer's place() calls, in order (empty when it did not run).
+  std::vector<LegalizerMove> legalizer_placed;
+  /// Nets whose wirelength changed; meaningless when cells were deleted
+  /// (every net is then re-measured).
   std::vector<NetId> dirty_nets;
 };
 
-void raise_staleness(EcoEngineStaleness* s, EcoEngineStaleness to) {
-  if (static_cast<int>(to) > static_cast<int>(*s)) *s = to;
-}
-
-/// Folds a deferred wholesale invalidation into the engine. A delay-model
-/// flush can re-time the existing structure — unless delta notes are also
-/// pending (rewires splice edges, which a plain full-STA pass would silently
-/// drop), in which case only the rebuild is safe.
-void flush_staleness(TimingEngine* eng, EcoEngineStaleness* s) {
-  if (*s == EcoEngineStaleness::kClean) return;
-  if (*s == EcoEngineStaleness::kResync || eng->has_pending_deltas())
-    eng->resync();
-  else
-    eng->retime_with_wire_lengths(nullptr);
-  *s = EcoEngineStaleness::kClean;
+/// Folds a deferred delay-model change into the engine: one full re-time,
+/// which splices any pending rewires first and covers every other pending
+/// delta.
+void flush_retime(TimingEngine* eng, bool* retime_pending) {
+  if (!*retime_pending) return;
+  eng->retime_with_wire_lengths(nullptr);
+  *retime_pending = false;
 }
 
 /// The state transition of one (validated) delta. Used with the live
@@ -195,14 +190,14 @@ void flush_staleness(TimingEngine* eng, EcoEngineStaleness* s) {
 /// legalizer cannot resolve an overfull target (the caller rolls back and
 /// reports a rejection).
 ///
-/// Wholesale invalidations (delay-model change, flip-flop toggle) are not
-/// executed here: they raise *stale so the caller can defer the flush to the
-/// next evaluation — a cache-hit stream never pays for it. The one place a
-/// stale engine would be consulted mid-apply is the ripple legalizer, so the
-/// flush runs eagerly right before it.
+/// A delay-model change is not re-timed here: it sets *retime_pending so the
+/// caller can defer the full re-time to the next evaluation — a cache-hit
+/// stream never pays for it. The one place a stale engine would be consulted
+/// mid-apply is the ripple legalizer, so the flush runs eagerly right before
+/// it.
 void apply_structural(Netlist& nl, Placement& pl, LinearDelayModel& dm,
-                      const Delta& d, TimingEngine* eng,
-                      EcoEngineStaleness* stale, StructuralEffects* fx) {
+                      const Delta& d, TimingEngine* eng, bool* retime_pending,
+                      StructuralEffects* fx) {
   switch (d.kind) {
     case DeltaKind::kMoveCell: {
       const CellId c(d.cell);
@@ -211,22 +206,26 @@ void apply_structural(Netlist& nl, Placement& pl, LinearDelayModel& dm,
       pl.place(c, p);
       if (eng) eng->on_cell_moved(c);
       if (pl.overuse(p) > 0) {
-        if (eng) flush_staleness(eng, stale);
+        if (eng) flush_retime(eng, retime_pending);
         // Bounded region re-place: the timing-driven ripple legalizer only
         // touches monotone paths from the overfull location to nearby free
         // slots, re-timed incrementally through the shared engine.
-        const LegalizerResult lr =
+        LegalizerResult lr =
             legalize_timing_driven(nl, pl, dm, LegalizerOptions{}, eng);
-        fx->legalized = true;
+        if (!lr.success) throw EcoError("legalizer: " + lr.failure);
         fx->legalizer_moves = lr.ripple_moves;
         fx->cells_deleted = lr.unifications;
-        if (!lr.success) throw EcoError("legalizer: " + lr.failure);
+        if (lr.unifications == 0)
+          for (const LegalizerMove& m : lr.moves)
+            collect_cell_nets(nl, m.cell, &fx->dirty_nets);
+        fx->legalizer_placed = std::move(lr.moves);
       }
       break;
     }
     case DeltaKind::kSetFunction: {
+      const std::vector<CellId> members = eq_group(nl, CellId(d.cell));
       bool toggled = false;
-      for (CellId m : eq_group(nl, CellId(d.cell))) {
+      for (CellId m : members) {
         nl.set_function(m, d.function);
         if (nl.cell(m).registered != d.registered) {
           nl.set_registered(m, d.registered);
@@ -234,10 +233,9 @@ void apply_structural(Netlist& nl, Placement& pl, LinearDelayModel& dm,
         }
       }
       // A truth-table change alone has no timing effect; a flip-flop toggle
-      // restructures the timing graph (one node <-> source/sink pair), which
-      // the splice path does not model — full rebuild, deferred.
-      if (toggled && eng)
-        raise_staleness(stale, EcoEngineStaleness::kResync);
+      // turns the output node into a source (or back) and adds or drops the
+      // D end point, which the engine's splice rebuilds like a rewire.
+      if (toggled && eng) eng->on_cells_rewired(members);
       break;
     }
     case DeltaKind::kRewireInput: {
@@ -259,7 +257,7 @@ void apply_structural(Netlist& nl, Placement& pl, LinearDelayModel& dm,
       dm.ff_delay = d.ff_delay;
       // Every edge delay changes, but the graph structure does not:
       // a structure-preserving full re-time, deferred.
-      if (eng) raise_staleness(stale, EcoEngineStaleness::kRetimeAll);
+      if (eng) *retime_pending = true;
       break;
     }
   }
@@ -317,7 +315,7 @@ void EcoSession::init_runtime() {
   shadow_pl_ =
       std::make_unique<Placement>(snap_.pl->with_netlist(*shadow_nl_));
   eng_ = std::make_unique<TimingEngine>(*snap_.nl, *snap_.pl, snap_.cfg.delay);
-  eng_stale_ = EcoEngineStaleness::kClean;
+  eng_retime_pending_ = false;
   all_nets_dirty_ = true;
   refresh_wirelength();
   last_crit_ = eng_->graph().critical_delay();
@@ -400,10 +398,8 @@ void EcoSession::refresh_wirelength() {
 }
 
 void EcoSession::evaluate(EcoDeltaResult* res) {
-  if (eng_stale_ != EcoEngineStaleness::kClean)
-    flush_staleness(eng_.get(), &eng_stale_);
-  else
-    eng_->update();
+  flush_retime(eng_.get(), &eng_retime_pending_);
+  eng_->update();
   last_crit_ = eng_->graph().critical_delay();
   res->crit_ns = last_crit_;
   refresh_wirelength();
@@ -431,22 +427,23 @@ void EcoSession::rollback_to_committed() {
   // so a full in-place rebuild beats maintaining a per-delta engine shadow
   // on the hot path.
   eng_->resync();
-  eng_stale_ = EcoEngineStaleness::kClean;
+  eng_retime_pending_ = false;
   all_nets_dirty_ = true;
   dirty_nets_.clear();
 }
 
-void EcoSession::commit_shadow(const Delta& d, bool legalized,
+void EcoSession::commit_shadow(const Delta& d,
+                               const std::vector<LegalizerMove>& legalizer_placed,
                                int cells_deleted) {
-  if (legalized) {
-    // Ripple moves touch only the placement; the netlist changes only when
-    // the legalizer unified replicas (cells_deleted > 0). The netlist copy
-    // is the string-heavy one, so skip it whenever no cells died.
-    if (cells_deleted > 0) *shadow_nl_ = *snap_.nl;
+  if (cells_deleted > 0) {
+    // The legalizer unified replicas: the netlist lost cells, so copy the
+    // whole state instead of replaying.
+    *shadow_nl_ = *snap_.nl;
     *shadow_pl_ = snap_.pl->with_netlist(*shadow_nl_);
   } else {
-    // Replay the (cheap, deterministic) op on the shadow: same call on a
-    // bit-identical predecessor state produces a bit-identical successor.
+    // Replay the (cheap, deterministic) op on the shadow, then the
+    // legalizer's moves in order: the same calls on a bit-identical
+    // predecessor state produce a bit-identical successor.
     switch (d.kind) {
       case DeltaKind::kMoveCell:
         shadow_pl_->place(CellId(d.cell), Point{d.x, d.y});
@@ -464,6 +461,8 @@ void EcoSession::commit_shadow(const Delta& d, bool legalized,
       case DeltaKind::kSetDelayModel:
         break;
     }
+    for (const LegalizerMove& m : legalizer_placed)
+      shadow_pl_->place(m.cell, m.to);
   }
   committed_dm_ = snap_.cfg.delay;
 }
@@ -487,9 +486,12 @@ EcoDeltaResult EcoSession::apply(const Delta& d, const CancelToken* cancel) {
   StructuralEffects fx;
   try {
     apply_structural(*snap_.nl, *snap_.pl, snap_.cfg.delay, d, eng_.get(),
-                     &eng_stale_, &fx);
-    for (NetId n : fx.dirty_nets) dirty_nets_.push_back(n);
-    if (fx.legalized) all_nets_dirty_ = true;
+                     &eng_retime_pending_, &fx);
+    if (fx.cells_deleted > 0)
+      all_nets_dirty_ = true;
+    else
+      dirty_nets_.insert(dirty_nets_.end(), fx.dirty_nets.begin(),
+                         fx.dirty_nets.end());
     if (cancel) cancel->check("eco.delta");
     if (cached) {
       // Identical re-submission: the post-state metrics are known, so the
@@ -519,7 +521,7 @@ EcoDeltaResult EcoSession::apply(const Delta& d, const CancelToken* cancel) {
     throw;
   }
 
-  commit_shadow(d, fx.legalized, fx.cells_deleted);
+  commit_shadow(d, fx.legalizer_placed, fx.cells_deleted);
   journal_.push_back(enc);
   chain_ = next_chain;
   res.applied = true;
@@ -532,10 +534,8 @@ EcoDeltaResult EcoSession::apply(const Delta& d, const CancelToken* cancel) {
 
 EcoDeltaResult EcoSession::query() {
   EcoDeltaResult res;
-  if (eng_stale_ != EcoEngineStaleness::kClean)
-    flush_staleness(eng_.get(), &eng_stale_);
-  else
-    eng_->update();
+  flush_retime(eng_.get(), &eng_retime_pending_);
+  eng_->update();
   last_crit_ = eng_->graph().critical_delay();
   refresh_wirelength();
   res.applied = true;
@@ -586,10 +586,10 @@ std::string EcoSession::cold_rebuild_audit(double sta_tolerance) const {
       return "cold rebuild: journal entry " + std::to_string(i) +
              " rejected: " + why;
     StructuralEffects fx;
-    EcoEngineStaleness unused_stale = EcoEngineStaleness::kClean;
+    bool unused_retime = false;
     try {
       apply_structural(*cold.nl, *cold.pl, cold.cfg.delay, d, nullptr,
-                       &unused_stale, &fx);
+                       &unused_retime, &fx);
     } catch (const EcoError& e) {
       return "cold rebuild: journal entry " + std::to_string(i) +
              " failed: " + e.what();

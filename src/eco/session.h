@@ -10,6 +10,7 @@
 
 #include "audit/auditor.h"
 #include "eco/delta.h"
+#include "place/legalizer.h"
 #include "serve/snapshot.h"
 #include "timing/timing_engine.h"
 #include "util/cancel.h"
@@ -51,13 +52,6 @@ class EcoResultCache {
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, EcoCachedEval> map_;
 };
-
-/// How stale an EcoSession's engine is beyond its own pending-delta notes.
-/// kRetimeAll: every edge delay is invalid but the graph structure is
-/// current (delay-model change) — flushing re-runs STA over the existing
-/// graph. kResync: the structure itself is invalid (flip-flop toggle) —
-/// flushing rebuilds in place. Ordered by severity.
-enum class EcoEngineStaleness { kClean, kRetimeAll, kResync };
 
 struct EcoSessionOptions {
   /// Per-delta invariant battery over the touched state (netlist structure,
@@ -168,7 +162,9 @@ class EcoSession {
   void evaluate(EcoDeltaResult* res);
   void refresh_wirelength();
   void rollback_to_committed();
-  void commit_shadow(const Delta& d, bool legalized, int cells_deleted);
+  void commit_shadow(const Delta& d,
+                     const std::vector<LegalizerMove>& legalizer_placed,
+                     int cells_deleted);
 
   std::string id_;
   EcoSessionOptions opt_;
@@ -195,11 +191,11 @@ class EcoSession {
   LinearDelayModel committed_dm_;
 
   std::unique_ptr<TimingEngine> eng_;
-  /// Wholesale-invalidation level (see EcoEngineStaleness). The flush is
+  /// A delay-model change left every edge delay stale. The full re-time is
   /// deferred to the next evaluation, so cache-hit streams never pay for
   /// it; it runs eagerly only when the ripple legalizer is about to consult
   /// the engine.
-  EcoEngineStaleness eng_stale_ = EcoEngineStaleness::kClean;
+  bool eng_retime_pending_ = false;
 
   /// Per-net wirelength cache: evaluation recomputes only dirty nets, then
   /// sums live nets in id order — bit-matching Placement::total_wirelength().

@@ -209,7 +209,8 @@ std::optional<std::pair<std::vector<RippleStep>, double>> best_path_to(
 
 /// Overfull I/O locations (only possible transiently) are fixed by moving the
 /// extra pad to the nearest free I/O location directly.
-bool fix_io_overflow(Placement& pl, Point p, TimingEngine* eng) {
+bool fix_io_overflow(Placement& pl, Point p, TimingEngine* eng,
+                     std::vector<LegalizerMove>* moves) {
   const FpgaGrid& grid = pl.grid();
   Point best{-1, -1};
   int best_d = INT_MAX;
@@ -222,6 +223,7 @@ bool fix_io_overflow(Placement& pl, Point p, TimingEngine* eng) {
   if (best.x < 0) return false;
   CellId moved = pl.cells_at(p).back();
   pl.place(moved, best);
+  moves->push_back(LegalizerMove{moved, best});
   if (eng) eng->on_cell_moved(moved);
   return true;
 }
@@ -259,7 +261,7 @@ LegalizerResult legalize_timing_driven(Netlist& nl, Placement& pl,
     }
 
     if (pl.grid().is_io(congested)) {
-      if (!fix_io_overflow(pl, congested, eng)) {
+      if (!fix_io_overflow(pl, congested, eng, &res.moves)) {
         res.failure = "no free I/O location for overfull pad site";
         return res;
       }
@@ -322,6 +324,7 @@ LegalizerResult legalize_timing_driven(Netlist& nl, Placement& pl,
         break;
       }
       pl.place(it->cell, it->to);
+      res.moves.push_back(LegalizerMove{it->cell, it->to});
       if (eng) eng->on_cell_moved(it->cell);
       ++res.ripple_moves;
     }

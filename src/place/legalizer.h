@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "arch/delay_model.h"
 #include "netlist/netlist.h"
@@ -22,11 +23,21 @@ struct LegalizerOptions {
   int max_passes = 100000;
 };
 
+/// One Placement::place() call made by the legalizer.
+struct LegalizerMove {
+  CellId cell;
+  Point to;
+};
+
 struct LegalizerResult {
   bool success = false;  ///< all overlaps resolved
   int ripple_moves = 0;  ///< number of single-slot cell moves performed
   int overlaps_resolved = 0;
   int unifications = 0;  ///< cells removed by mid-ripple unification
+  /// Every cell moved (ripple moves and I/O-overflow fixes), in call order:
+  /// replaying them on a copy of the input placement reproduces the output
+  /// when nothing was unified.
+  std::vector<LegalizerMove> moves;
   std::string failure;   ///< empty on success; diagnostic otherwise
 };
 

@@ -173,6 +173,10 @@ void TimingEngine::splice_structure() {
     }
   }
 
+  // Recycled node slots keep their old topological position; an appended
+  // slot has none yet.
+  const std::size_t nodes_before = tg_.nodes_.size();
+
   // Phase A: drop the old fanin edges of every batch cell's nodes. Receivers
   // rebuild below; drivers are marked downstream-dirty inside detach_fanin.
   for (CellId c : rewired_cells_) {
@@ -232,6 +236,9 @@ void TimingEngine::splice_structure() {
 
   // Phase B2: rebuild each live batch cell's fanin edges from the netlist,
   // in pin order (matching the bootstrap build for deterministic tie-walks).
+  // Every other edge predates the splice and already respects topo_, so the
+  // order stays valid iff each rebuilt edge runs forward in it.
+  bool order_kept = tg_.nodes_.size() == nodes_before;
   for (CellId c : rewired_cells_) {
     if (!nl.cell_alive(c)) continue;
     const Cell& cell = nl.cell(c);
@@ -250,6 +257,7 @@ void TimingEngine::splice_structure() {
             "(new driver cell not reported in the delta)");
       alloc_edge(from, to, pin);
       mark_bwd(from);
+      order_kept = order_kept && topo_pos_[from.index()] < topo_pos_[to.index()];
     }
   }
 
@@ -257,10 +265,16 @@ void TimingEngine::splice_structure() {
   rewired_cells_.clear();
 
   // Keep end points in node-id order so the critical-sink tie-break stays
-  // deterministic, then re-levelize (dead slots are isolated and harmless).
+  // deterministic. Re-levelize only when the old order no longer fits: any
+  // valid order yields the same max-reductions, so values and the re-timed
+  // node set do not depend on which one propagate_dirty() walks. A new
+  // combinational cycle always breaks the order, so topo_sort() still
+  // catches it (dead slots are isolated and harmless).
   std::sort(tg_.sink_nodes_.begin(), tg_.sink_nodes_.end());
-  tg_.topo_sort();
-  refresh_topo_positions();
+  if (!order_kept) {
+    tg_.topo_sort();
+    refresh_topo_positions();
+  }
 }
 
 double TimingEngine::recompute_arrival(std::size_t n) const {
@@ -355,12 +369,19 @@ void TimingEngine::recompute_critical() {
   }
 }
 
+void TimingEngine::full_retime() {
+  // Pending rewires still need their splice; the full pass then recomputes
+  // every edge delay and value, which covers every other pending delta.
+  if (!rewired_cells_.empty()) splice_structure();
+  tg_.run_sta();
+  clear_pending();
+}
+
 void TimingEngine::update() {
   if (tg_.wire_length_fn_) {
     // A routed-wirelength override is active: every edge delay depends on it,
     // so incremental bookkeeping does not apply. Full pass.
-    tg_.run_sta();
-    clear_pending();
+    full_retime();
     return;
   }
   if (!has_pending_deltas()) return;
@@ -485,8 +506,7 @@ void TimingEngine::resync() {
 
 void TimingEngine::retime_with_wire_lengths(TimingGraph::WireLengthFn fn) {
   tg_.set_wire_length_override(std::move(fn));
-  tg_.run_sta();
-  clear_pending();
+  full_retime();
 }
 
 void TimingEngine::verify_against_oracle() const {

@@ -21,7 +21,8 @@ namespace repro {
 ///    dirty fan-out/fan-in cones via a topo-ordered worklist;
 ///  * netlist deltas (`on_cells_rewired`) splice replica nodes and rewired
 ///    edges into the existing graph (node/edge slots are recycled through
-///    free lists), re-levelize, and again only re-time the dirty cones;
+///    free lists), re-levelize only if a rebuilt edge runs against the kept
+///    topological order, and again only re-time the dirty cones;
 ///  * `commit()` / `rollback()` shadow the full engine state so the
 ///    replication engine's legalization-failure snapshot path restores
 ///    timing in O(copy) instead of O(rebuild).
@@ -67,8 +68,6 @@ class TimingEngine {
     return tg_;
   }
 
-  bool has_pending_deltas() const;
-
   // ---- snapshot / rollback -------------------------------------------------
 
   /// Marks the current (updated) state as the rollback point.
@@ -87,7 +86,8 @@ class TimingEngine {
 
   /// Re-times the whole design with an interconnect-length override (routed
   /// wire lengths). Inherently a full pass: every edge delay changes. Pass
-  /// nullptr to restore placement-estimated delays.
+  /// nullptr to restore placement-estimated delays — also the way to re-time
+  /// after a delay-model change. Pending rewires are spliced first.
   void retime_with_wire_lengths(TimingGraph::WireLengthFn fn);
 
   // ---- paranoid mode -------------------------------------------------------
@@ -99,6 +99,7 @@ class TimingEngine {
   bool paranoid() const { return paranoid_; }
 
  private:
+  bool has_pending_deltas() const;
   void ensure_cell_arrays();
   TimingNodeId alloc_node(TimingNodeKind kind, CellId cell);
   void free_node(TimingNodeId n);
@@ -110,6 +111,7 @@ class TimingEngine {
   double recompute_downstream(std::size_t n) const;
   void propagate_dirty();
   void recompute_critical();
+  void full_retime();
   void clear_pending();
   void verify_against_oracle() const;
 

@@ -96,6 +96,7 @@ void TimingGraph::compute_edge_delays() {
 }
 
 void TimingGraph::topo_sort() {
+  if (!TimingCounterSuppressor::active()) ++timing_counters().topo_sorts;
   std::vector<int> indeg(nodes_.size(), 0);
   for (const TimingEdge& e : edges_)
     if (e.from.valid()) ++indeg[e.to.index()];

@@ -80,6 +80,9 @@ class TimingGraph {
     return fanout_[n.index()];
   }
   const std::vector<TimingNodeId>& sinks() const { return sink_nodes_; }
+  /// Every node slot (freed ones included) in a topological order: each live
+  /// edge runs from an earlier entry to a later one.
+  const std::vector<TimingNodeId>& topo_order() const { return topo_; }
 
   // ---- analysis ------------------------------------------------------------
 

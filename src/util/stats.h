@@ -45,6 +45,7 @@ struct TimingCounters {
   std::atomic<std::uint64_t> graph_builds{0};        ///< TimingGraph constructions (bootstrap/oracle)
   std::atomic<std::uint64_t> full_sta_passes{0};     ///< complete run_sta sweeps (all edges + all nodes)
   std::atomic<std::uint64_t> engine_resyncs{0};      ///< TimingEngine full in-place rebuilds
+  std::atomic<std::uint64_t> topo_sorts{0};          ///< whole-graph topological sorts
   std::atomic<std::uint64_t> incremental_updates{0}; ///< TimingEngine::update() calls served incrementally
   std::atomic<std::uint64_t> nodes_reevaluated{0};   ///< arrival/downstream recomputes on the delta path
   std::atomic<std::uint64_t> edges_redelayed{0};     ///< edge-delay recomputes on the delta path
@@ -55,6 +56,7 @@ struct TimingCounters {
     graph_builds = 0;
     full_sta_passes = 0;
     engine_resyncs = 0;
+    topo_sorts = 0;
     incremental_updates = 0;
     nodes_reevaluated = 0;
     edges_redelayed = 0;

@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "timing/timing_graph.h"
 #include "util/cancel.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace repro {
 namespace {
@@ -623,6 +626,238 @@ TEST(EcoSession, ResumeRejectsCorruptBytes) {
                              make_placed_snapshot("tseng", 0.05, 7)),
                          {}),
       EcoError);
+}
+
+// ---- per-write cost: kept topo order, re-time instead of rebuild -----------
+
+Delta move_delta(CellId c, Point p) {
+  Delta m;
+  m.kind = DeltaKind::kMoveCell;
+  m.cell = c.value();
+  m.x = p.x;
+  m.y = p.y;
+  return m;
+}
+
+Delta nudge_delta(const LinearDelayModel& dm, Rng& rng) {
+  return delay_model_delta(
+      1.0 + 0.01 * static_cast<double>(rng.next_below(10)), dm.logic_delay,
+      dm.io_delay, dm.ff_delay);
+}
+
+// A random logic cell moved onto another logic cell's slot: the session
+// re-legalizes.
+Delta relegalizing_move(const Netlist& nl, const Placement& pl, Rng& rng) {
+  const std::vector<CellId> logic = live_logic_cells(nl);
+  for (;;) {
+    const CellId a = logic[rng.next_below(logic.size())];
+    const CellId b = logic[rng.next_below(logic.size())];
+    if (pl.location(a) != pl.location(b)) return move_delta(a, pl.location(b));
+  }
+}
+
+// Pin p of a random logic cell rewired onto the net of a sibling pin q: the
+// driver already feeds the cell, so the rewire is acyclic by construction.
+std::optional<Delta> sibling_rewire(const Netlist& nl, Rng& rng) {
+  std::vector<CellId> cands;
+  for (CellId c : live_logic_cells(nl)) {
+    const Cell& cc = nl.cell(c);
+    for (std::size_t p = 1; p < cc.inputs.size(); ++p)
+      if (cc.inputs[p] != cc.inputs[0]) {
+        cands.push_back(c);
+        break;
+      }
+  }
+  if (cands.empty()) return std::nullopt;
+  const CellId c = cands[rng.next_below(cands.size())];
+  const Cell& cc = nl.cell(c);
+  for (;;) {
+    const std::size_t p = rng.next_below(cc.inputs.size());
+    const std::size_t q = rng.next_below(cc.inputs.size());
+    if (cc.inputs[p] == cc.inputs[q]) continue;
+    Delta r;
+    r.kind = DeltaKind::kRewireInput;
+    r.cell = c.value();
+    r.pin = static_cast<std::int32_t>(p);
+    r.net = cc.inputs[q].value();
+    return r;
+  }
+}
+
+// The write's result must equal a cold rebuild of the session's state.
+void expect_cold_equal(const EcoSession& s, const EcoDeltaResult& res) {
+  const TimingCounterSuppressor quiet;  // the oracle is not session work
+  const TimingGraph cold(s.netlist(), s.placement(), s.config().delay);
+  EXPECT_EQ(res.crit_ns, cold.critical_delay());
+  EXPECT_EQ(res.wirelength, s.placement().total_wirelength());
+}
+
+// Replays `writes` on a second session over the same base. Every apply hits
+// the cache, so its timing work stays pending (re-legalizing hits still run
+// the legalizer on the engine); a fresh delay-model change then folds all
+// of it into one full re-time.
+void replay_then_nudge(EcoSession& follow, const std::vector<Delta>& writes,
+                       Rng& rng) {
+  for (const Delta& d : writes) {
+    const EcoDeltaResult res = follow.apply(d);
+    ASSERT_TRUE(res.applied) << res.reject;
+    EXPECT_TRUE(res.cache_hit);
+  }
+  const EcoDeltaResult res = follow.apply(nudge_delta(follow.config().delay, rng));
+  ASSERT_TRUE(res.applied) << res.reject;
+  EXPECT_FALSE(res.cache_hit);
+  expect_cold_equal(follow, res);
+}
+
+TEST(EcoSession, WritesKeepTopoOrderAndNeverResync) {
+  EcoResultCache cache;
+  EcoSessionOptions opt;
+  opt.cache = &cache;
+  EcoSession lead("lead", make_placed_snapshot("tseng", 0.05, 7), opt);
+  EcoSession follow("follow", make_placed_snapshot("tseng", 0.05, 7), opt);
+  const TimingCounters& tc = timing_counters();
+  const std::uint64_t sorts_before = tc.topo_sorts;
+  const std::uint64_t resyncs_before = tc.engine_resyncs;
+
+  Rng rng(11);
+  std::vector<Delta> applied;
+  int relegalized = 0, rewires = 0, nudges = 0;
+  for (int i = 0; i < 80; ++i) {
+    const Netlist& nl = lead.netlist();
+    const Placement& pl = lead.placement();
+    std::vector<Delta> writes;
+    switch (rng.next_below(4)) {
+      case 0: {
+        const std::vector<CellId> logic = live_logic_cells(nl);
+        const std::vector<Point> free = pl.free_logic_locations();
+        ASSERT_FALSE(free.empty());
+        writes.push_back(move_delta(logic[rng.next_below(logic.size())],
+                                    free[rng.next_below(free.size())]));
+        break;
+      }
+      case 1:
+        writes.push_back(relegalizing_move(nl, pl, rng));
+        break;
+      default: {
+        // Half the rewires are followed at once by a delay-model nudge.
+        const bool nudge = rng.next_below(2) == 0;
+        if (std::optional<Delta> r = sibling_rewire(nl, rng)) {
+          writes.push_back(*r);
+          ++rewires;
+        }
+        if (nudge) {
+          writes.push_back(nudge_delta(lead.config().delay, rng));
+          ++nudges;
+        }
+        break;
+      }
+    }
+    for (const Delta& d : writes) {
+      SCOPED_TRACE(i);
+      const EcoDeltaResult res = lead.apply(d);
+      ASSERT_TRUE(res.applied) << res.reject;
+      if (res.legalizer_moves > 0) ++relegalized;
+      expect_cold_equal(lead, res);
+      applied.push_back(d);
+    }
+  }
+  EXPECT_GT(relegalized, 0);
+  EXPECT_GT(rewires, 0);
+  EXPECT_GT(nudges, 0);
+  replay_then_nudge(follow, applied, rng);
+
+  // Past the opens, no write sorted the whole graph or rebuilt the engine.
+  EXPECT_EQ(tc.topo_sorts - sorts_before, 0u);
+  EXPECT_EQ(tc.engine_resyncs - resyncs_before, 0u);
+  const TimingCounterSuppressor quiet;
+  EXPECT_EQ(lead.cold_rebuild_audit(), "");
+}
+
+TEST(EcoSession, FlipFlopTogglesSpliceAndMatchColdTiming) {
+  // Cross-check every incremental engine update node by node against a cold
+  // build (the engine reads the switch when it is constructed).
+  const char* prev = std::getenv("REPRO_TIMING_PARANOID");
+  const std::optional<std::string> saved =
+      prev ? std::optional<std::string>(prev) : std::nullopt;
+  setenv("REPRO_TIMING_PARANOID", "1", 1);
+  EcoResultCache cache;
+  EcoSessionOptions opt;
+  opt.cache = &cache;
+  EcoSession s("ff", make_placed_snapshot("tseng", 0.05, 7), opt);
+  EcoSession follow("follow", make_placed_snapshot("tseng", 0.05, 7), opt);
+  if (saved)
+    setenv("REPRO_TIMING_PARANOID", saved->c_str(), 1);
+  else
+    unsetenv("REPRO_TIMING_PARANOID");
+  const std::uint64_t resyncs_before = timing_counters().engine_resyncs;
+  const std::uint64_t checks_before = timing_counters().paranoid_checks;
+
+  Rng rng(5);
+  std::vector<Delta> applied;
+  int registered = 0, unregistered = 0;
+  for (int i = 0; i < 80; ++i) {
+    const Netlist& nl = s.netlist();
+    const std::vector<CellId> logic = live_logic_cells(nl);
+    const std::uint64_t roll = rng.next_below(10);
+    Delta d;
+    if (roll < 6) {
+      const CellId c = logic[rng.next_below(logic.size())];
+      d.kind = DeltaKind::kSetFunction;
+      d.cell = c.value();
+      d.function = nl.cell(c).function;
+      d.registered = !nl.cell(c).registered;
+    } else if (roll < 8) {
+      d = relegalizing_move(nl, s.placement(), rng);
+    } else {
+      d = nudge_delta(s.config().delay, rng);
+    }
+    SCOPED_TRACE(i);
+    const EcoDeltaResult res = s.apply(d);
+    if (!res.applied) {
+      // Only unregistering can fail: it may close a combinational loop.
+      EXPECT_NE(res.reject.find("cycle"), std::string::npos) << res.reject;
+      continue;
+    }
+    if (d.kind == DeltaKind::kSetFunction) ++(d.registered ? registered : unregistered);
+    expect_cold_equal(s, res);
+    applied.push_back(d);
+  }
+  EXPECT_GT(registered, 0);
+  EXPECT_GT(unregistered, 0);
+  replay_then_nudge(follow, applied, rng);
+  EXPECT_EQ(timing_counters().engine_resyncs - resyncs_before, 0u);
+  EXPECT_GT(timing_counters().paranoid_checks, checks_before);
+  EXPECT_EQ(s.cold_rebuild_audit(), "");
+}
+
+TEST(EcoSession, RollbackAfterRelegalizingWriteRestoresExactBytes) {
+  // The shadow that rollback restores from is kept by replaying the write
+  // and the legalizer's moves, not by copying; any dropped or reordered move
+  // shows up in the restored bytes. (A write from a legal state cannot make
+  // the legalizer unify: logic slots hold one cell, so each ripple step
+  // lands on a slot its occupant just left. The copy fallback for
+  // unifications is not reachable from here.)
+  EcoSession s("s1", make_placed_snapshot("tseng", 0.05, 7), {});
+  Rng rng(3);
+  CancelToken expired;
+  expired.set_deadline_after(-1.0);
+  int moves = 0;
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE(round);
+    const EcoDeltaResult res =
+        s.apply(relegalizing_move(s.netlist(), s.placement(), rng));
+    ASSERT_TRUE(res.applied) << res.reject;
+    moves += res.legalizer_moves;
+    const std::string bytes = s.serialize();
+    // The next write runs (re-legalizing too), then its cancellation rolls
+    // the session back to the shadow.
+    EXPECT_THROW(s.apply(relegalizing_move(s.netlist(), s.placement(), rng),
+                         &expired),
+                 FlowCancelled);
+    EXPECT_EQ(s.serialize(), bytes);
+  }
+  EXPECT_GT(moves, 0);
+  EXPECT_EQ(s.cold_rebuild_audit(), "");
 }
 
 // ---- session manager / JSONL surface ---------------------------------------

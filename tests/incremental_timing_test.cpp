@@ -5,10 +5,14 @@
 // every step. Also pins down the zero-rebuild property: after initialization
 // the annealer and the replication engine perform no from-scratch TimingGraph
 // constructions (observed via timing_counters(), not asserted by reading the
-// code).
+// code), and the keep-or-sort rule for the topological order after a splice.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "gen/circuit_gen.h"
@@ -65,6 +69,23 @@ void expect_matches_oracle(const TimingEngine& eng, const Netlist& nl,
       ASSERT_NEAR(inc.slack(es), oracle.slack(os), 1e-12)
           << ctx << " sink slack " << nl.cell(c).name;
     }
+  }
+}
+
+/// The engine's kept order must list every node slot exactly once, with each
+/// live edge running from an earlier position to a later one.
+void expect_valid_topo_order(const TimingGraph& g, const char* ctx) {
+  const std::vector<TimingNodeId>& order = g.topo_order();
+  ASSERT_EQ(order.size(), g.num_nodes()) << ctx;
+  std::vector<int> pos(g.num_nodes(), -1);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    ASSERT_EQ(pos[order[i].index()], -1) << ctx << " node listed twice";
+    pos[order[i].index()] = static_cast<int>(i);
+  }
+  for (std::size_t e = 0; e < g.num_edges(); ++e) {
+    if (!g.edge_live(e)) continue;
+    ASSERT_LT(pos[g.edge(e).from.index()], pos[g.edge(e).to.index()])
+        << ctx << " edge " << e << " runs backward";
   }
 }
 
@@ -187,6 +208,7 @@ TEST(IncrementalTiming, RandomOpsMatchFromScratchOracle) {
     }
     eng.update();
     SCOPED_TRACE(step);
+    expect_valid_topo_order(eng.graph(), "step");
     expect_matches_oracle(eng, nl, pl, dm, "step");
     ASSERT_TRUE(nl.validate().empty()) << nl.validate();
   }
@@ -217,6 +239,7 @@ TEST(IncrementalTiming, BatchedDeltasMatchOracle) {
     }
     eng.update();
     SCOPED_TRACE(round);
+    expect_valid_topo_order(eng.graph(), "batched round");
     expect_matches_oracle(eng, nl, pl, dm, "batched round");
   }
 }
@@ -240,6 +263,83 @@ TEST(IncrementalTiming, ParanoidModeSelfChecks) {
     ASSERT_NO_THROW(eng.update());
   }
   EXPECT_GT(timing_counters().paranoid_checks, checks_before);
+}
+
+/// in0 -> g1 -> g2 -> out0 with in0 also on g2's pin 1; in1 -> g3 -> out1.
+struct SpliceOrderCircuit {
+  SpliceOrderCircuit() {
+    const CellId in0 = nl.add_input_pad("in0");
+    const CellId in1 = nl.add_input_pad("in1");
+    g1 = nl.add_logic("g1", {nl.cell(in0).output}, 0x2, false);
+    g2 = nl.add_logic("g2", {nl.cell(g1).output, nl.cell(in0).output}, 0x8, false);
+    g3 = nl.add_logic("g3", {nl.cell(in1).output}, 0x2, false);
+    const CellId out0 = nl.add_output_pad("out0");
+    const CellId out1 = nl.add_output_pad("out1");
+    nl.connect(nl.cell(g2).output, out0, 0);
+    nl.connect(nl.cell(g3).output, out1, 0);
+    grid = std::make_unique<FpgaGrid>(FpgaGrid::min_grid_for(
+        nl.num_logic() + 2, nl.num_input_pads() + nl.num_output_pads()));
+    Rng rng(5);
+    pl = std::make_unique<Placement>(random_placement(nl, *grid, rng));
+  }
+  Netlist nl;
+  std::unique_ptr<FpgaGrid> grid;
+  std::unique_ptr<Placement> pl;
+  CellId g1, g2, g3;
+  LinearDelayModel dm;
+};
+
+int topo_position(const TimingGraph& g, TimingNodeId n) {
+  const std::vector<TimingNodeId>& order = g.topo_order();
+  for (std::size_t i = 0; i < order.size(); ++i)
+    if (order[i] == n) return static_cast<int>(i);
+  return -1;
+}
+
+TEST(IncrementalTiming, SpliceKeepsOrderWhenRebuiltEdgesRunForward) {
+  SpliceOrderCircuit t;
+  TimingEngine eng(t.nl, *t.pl, t.dm);
+  // Pin 1 of g2 onto the net of its sibling pin 0: the driver g1 already
+  // feeds g2, so the kept order still fits.
+  t.nl.reassign_input(t.g2, 1, t.nl.cell(t.g1).output);
+  eng.on_cell_rewired(t.g2);
+  const std::uint64_t sorts_before = timing_counters().topo_sorts;
+  eng.update();
+  EXPECT_EQ(timing_counters().topo_sorts, sorts_before);
+  expect_valid_topo_order(eng.graph(), "kept");
+  expect_matches_oracle(eng, t.nl, *t.pl, t.dm, "kept");
+}
+
+TEST(IncrementalTiming, SpliceSortsWhenARebuiltEdgeRunsBackward) {
+  SpliceOrderCircuit t;
+  TimingEngine eng(t.nl, *t.pl, t.dm);
+  // g1 and g3 are independent; feed the earlier one from the later one.
+  const TimingGraph& g = eng.graph();
+  CellId early = t.g1, late = t.g3;
+  if (topo_position(g, g.out_node(early)) > topo_position(g, g.out_node(late)))
+    std::swap(early, late);
+  t.nl.reassign_input(early, 0, t.nl.cell(late).output);
+  eng.on_cell_rewired(early);
+  const std::uint64_t sorts_before = timing_counters().topo_sorts;
+  eng.update();
+  EXPECT_EQ(timing_counters().topo_sorts, sorts_before + 1);
+  expect_valid_topo_order(eng.graph(), "resorted");
+  expect_matches_oracle(eng, t.nl, *t.pl, t.dm, "resorted");
+}
+
+TEST(IncrementalTiming, SpliceClosingACombinationalLoopStillThrows) {
+  SpliceOrderCircuit t;
+  TimingEngine eng(t.nl, *t.pl, t.dm);
+  // g1 -> g2 -> g1.
+  t.nl.reassign_input(t.g1, 0, t.nl.cell(t.g2).output);
+  eng.on_cell_rewired(t.g1);
+  try {
+    eng.update();
+    FAIL() << "expected a combinational-cycle error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("combinational cycle"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(IncrementalTiming, ReplicationEngineDoesNotRebuildGraphs) {
