@@ -9,7 +9,9 @@
 //   fast      + warm-started W_min binary search (all defaults)
 //
 // The interesting metric is hardware-independent work: maze nodes expanded
-// during the W_min binary search. Gates (full mode):
+// during the W_min binary search. The W_min search's wall time is recorded
+// per config (`wmin_seconds`) for information only; no gate reads it.
+// Gates (full mode):
 //   - fast W_min <= baseline W_min on every circuit
 //   - total fast W_min-search node expansions at least 3x below baseline
 //   - low-stress routed wirelength and critical delay aggregate (geomean)
@@ -97,6 +99,7 @@ struct ConfigResult {
   std::uint64_t wmin_pushes = 0;
   std::uint64_t wmin_pops = 0;
   int wmin_probes = 0;
+  double wmin_seconds = 0;  ///< wall time of the W_min search (not gated)
   std::int64_t inf_wirelength = 0;
   std::int64_t ls_wirelength = 0;
   double inf_delay = 0;
@@ -121,7 +124,9 @@ ConfigResult run_config(const Fixture& f, const Config& c) {
   out.inf_delay = routed_critical_delay(f.nl, f.pl, f.dm, inf);
 
   WminSearchStats ws;
+  const double t0 = bench::now_seconds();
   out.wmin = find_min_channel_width(f.nl, f.pl, opt, &ws);
+  out.wmin_seconds = bench::now_seconds() - t0;
   out.wmin_expansions = ws.nodes_expanded;
   out.wmin_pushes = ws.heap_pushes;
   out.wmin_pops = ws.heap_pops;
@@ -189,11 +194,12 @@ int main(int argc, char** argv) {
       const ConfigResult& fast = find_config(cr, "fast");
       for (const ConfigResult& c : cr.configs)
         std::printf("n=%3d s=%llu %-8s wmin=%d wmin_exp=%llu probes=%d "
-                    "inf_wl=%lld ls_wl=%lld inf_d=%.3f ls_d=%.3f\n",
+                    "wmin_s=%.3f inf_wl=%lld ls_wl=%lld inf_d=%.3f ls_d=%.3f\n",
                     num_logic, static_cast<unsigned long long>(seed),
                     c.config.c_str(), c.wmin,
                     static_cast<unsigned long long>(c.wmin_expansions),
-                    c.wmin_probes, static_cast<long long>(c.inf_wirelength),
+                    c.wmin_probes, c.wmin_seconds,
+                    static_cast<long long>(c.inf_wirelength),
                     static_cast<long long>(c.ls_wirelength), c.inf_delay,
                     c.ls_delay);
 
@@ -299,7 +305,9 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "  \"note\": \"all counters are hardware-independent work "
                "(maze nodes expanded, heap ops); baseline reproduces the "
-               "pre-PR router configuration\",\n  \"circuits\": [\n");
+               "pre-PR router configuration; wmin_seconds is the W_min "
+               "search's wall time on the recording host, informational and "
+               "never gated\",\n  \"circuits\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const CircuitResult& cr = results[i];
     std::fprintf(out, "    {\"num_logic\": %d, \"seed\": %llu, \"configs\": [\n",
@@ -310,14 +318,14 @@ int main(int argc, char** argv) {
           out,
           "      {\"config\": \"%s\", \"wmin\": %d, \"wmin_probes\": %d,\n"
           "       \"wmin_nodes_expanded\": %llu, \"wmin_heap_pushes\": %llu, "
-          "\"wmin_heap_pops\": %llu,\n"
+          "\"wmin_heap_pops\": %llu, \"wmin_seconds\": %.4f,\n"
           "       \"inf_wirelength\": %lld, \"inf_delay\": %.6f,\n"
           "       \"ls_wirelength\": %lld, \"ls_delay\": %.6f, "
           "\"ls_nodes_expanded\": %llu, \"ls_passes\": %d}%s\n",
           c.config.c_str(), c.wmin, c.wmin_probes,
           static_cast<unsigned long long>(c.wmin_expansions),
           static_cast<unsigned long long>(c.wmin_pushes),
-          static_cast<unsigned long long>(c.wmin_pops),
+          static_cast<unsigned long long>(c.wmin_pops), c.wmin_seconds,
           static_cast<long long>(c.inf_wirelength), c.inf_delay,
           static_cast<long long>(c.ls_wirelength), c.ls_delay,
           static_cast<unsigned long long>(c.ls_expansions), c.ls_passes,

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
 #include "timing/timing_engine.h"
 #include "timing/timing_graph.h"
@@ -133,24 +135,23 @@ CircuitMetrics evaluate_routed(const std::string& name, const Netlist& nl,
   // delays and the nets re-routed, so connections stretched through shared
   // trees in the first pass get direct routes in the next.
   TimingEngine eng(nl, pl, cfg.delay);
-  std::unordered_map<std::int64_t, double> crit;
+  // Criticality per (sink cell, input pin) in a flat table laid out like
+  // ConnectionLengths; connections without a timing edge read 0. The netlist
+  // is fixed here, so every refresh rewrites the same slots.
+  constexpr std::size_t kPins = ConnectionLengths::kPinsPerCell;
+  std::vector<double> crit(nl.cell_capacity() * kPins, 0.0);
   auto refresh_crit = [&]() {
     const TimingGraph& tg = eng.graph();
     for (std::size_t e = 0; e < tg.num_edges(); ++e) {
       if (!tg.edge_live(e)) continue;
       const TimingEdge& ed = tg.edge(e);
-      const std::int64_t key =
-          (static_cast<std::int64_t>(tg.node(ed.to).cell.value()) << 8) |
-          static_cast<std::int64_t>(ed.pin);
-      crit[key] =
+      crit[tg.node(ed.to).cell.index() * kPins + static_cast<std::size_t>(ed.pin)] =
           criticality_weight(tg.edge_criticality(e), cfg.router_crit_exponent);
     }
   };
   refresh_crit();
   auto crit_fn = [&crit](CellId sink, int pin) {
-    auto it = crit.find((static_cast<std::int64_t>(sink.value()) << 8) |
-                        static_cast<std::int64_t>(pin));
-    return it == crit.end() ? 0.0 : it->second;
+    return crit[sink.index() * kPins + static_cast<std::size_t>(pin)];
   };
   auto retime_from = [&](const RoutingResult& routing) {
     eng.retime_with_wire_lengths([&routing](CellId sink, int pin, int fallback) {
@@ -197,6 +198,7 @@ CircuitMetrics evaluate_routed(const std::string& name, const Netlist& nl,
     m.route_nodes_expanded += wstats.nodes_expanded;
     for (const WminProbeStats& p : wstats.probes)
       m.route_passes += static_cast<std::uint64_t>(p.passes);
+    m.wmin_probes = std::move(wstats.probes);
     RouterOptions ls = cfg.router;
     ls.channel_width = static_cast<int>(std::ceil(1.2 * m.wmin));
     RoutingResult r_ls = route(nl, pl, ls, crit_fn);

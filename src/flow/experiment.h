@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "arch/delay_model.h"
 #include "arch/fpga_grid.h"
@@ -105,6 +106,9 @@ struct CircuitMetrics {
   /// passes across every route()/W_min call of this evaluation.
   std::uint64_t route_nodes_expanded = 0;
   std::uint64_t route_passes = 0;
+  /// The W_min search's probes in search order (empty without low-stress
+  /// routing). Diagnostic only: snapshots and service result lines omit it.
+  std::vector<WminProbeStats> wmin_probes;
   /// Engine iterations whose embedding region hit the max_region_points cap
   /// (EngineResult::region_truncations, copied in by callers that run the
   /// replication engine; 0 when the guard is off or replication didn't run).

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <limits>
 
+#include "route/maze_queue.h"
 #include "timing/timing_engine.h"
 #include "timing/timing_graph.h"
 #include "util/log.h"
@@ -70,10 +71,13 @@ class PathFinder {
     net_routed_.assign(nl.net_capacity(), 0);
     net_unrouted_.assign(nl.net_capacity(), 0);
     conn_len_.reset(nl.cell_capacity());
-    dist_.assign(g_.e * g_.e, kInf);
-    prev_edge_.assign(g_.e * g_.e, -1);
-    prev_node_.assign(g_.e * g_.e, -1);
-    stamp_.assign(g_.e * g_.e, 0);
+    assert(g_.e <= std::numeric_limits<std::int16_t>::max());
+    nodes_.assign(g_.e * g_.e, MazeNode{});
+    for (int n = 0; n < g_.e * g_.e; ++n) {
+      const Point p = g_.point(n);
+      nodes_[n].x = static_cast<std::int16_t>(p.x);
+      nodes_[n].y = static_cast<std::int16_t>(p.y);
+    }
     tree_depth_.assign(g_.e * g_.e, 0);
     tree_stamp_.assign(g_.e * g_.e, 0);
     for (NetId n : nl.live_net_ids())
@@ -290,10 +294,10 @@ class PathFinder {
       int cur = dst_node;
       path_nodes_.clear();
       path_edges_.clear();
-      while (prev_edge_[cur] >= 0 && stamp_[cur] == generation_) {
+      while (nodes_[cur].prev_edge >= 0 && nodes_[cur].stamp == generation_) {
         path_nodes_.push_back(cur);
-        path_edges_.push_back(prev_edge_[cur]);
-        cur = prev_node_[cur];
+        path_edges_.push_back(nodes_[cur].prev_edge);
+        cur = nodes_[cur].prev_node;
       }
       // cur is the attachment point (a tree node).
       int depth = tree_depth_[cur];
@@ -318,7 +322,7 @@ class PathFinder {
   };
   /// Min-heap on (f, node): deterministic tie-breaking by smaller node index
   /// keeps routes reproducible under the A* lookahead, which produces many
-  /// equal-f frontier nodes along shortest paths.
+  /// equal-f frontier nodes along shortest paths. MazeQueue orders the same.
   struct HeapWorse {
     bool operator()(const HeapItem& a, const HeapItem& b) const {
       if (a.f != b.f) return a.f > b.f;
@@ -338,6 +342,13 @@ class PathFinder {
   /// so lower_bound_step * manhattan(v, dst) with lower_bound_step = 1 is an
   /// admissible, consistent heuristic — identical path costs to Dijkstra,
   /// far fewer expansions.
+  ///
+  /// Every push strictly lowers the node's dist, so only the node's latest
+  /// push carries its dist: an entry is live iff its version is the node's
+  /// current one, and a live entry's cost is the node's dist. A node listed
+  /// twice in tree_nodes_ (a traceback re-entered the tree at a shorter
+  /// depth) gets one version for both seeds, which carry the same cost and
+  /// both stay live.
   bool maze_to(Point dst, const Rect& region, int cap, double present_factor,
                double crit) {
     // Even fully critical connections must keep feeling congestion or
@@ -352,52 +363,65 @@ class PathFinder {
 
     ++generation_;
     const double hweight = opt_.use_astar ? opt_.astar_factor : 0.0;
-    heap_.clear();
+    queue_.clear();
     for (int tn : tree_nodes_) {
-      dist_[tn] = crit * tree_depth_[tn];
-      prev_edge_[tn] = -1;
-      prev_node_[tn] = -1;
-      stamp_[tn] = generation_;
-      heap_.push_back({dist_[tn] + hweight * manhattan(g_.point(tn), dst),
-                       dist_[tn], tn});
+      MazeNode& n = nodes_[tn];
+      if (n.stamp != generation_) ++n.version;  // not for a repeated seed
+      n.stamp = generation_;
+      n.dist = crit * tree_depth_[tn];
+      n.prev_edge = -1;
+      n.prev_node = -1;
+      queue_.append({n.dist + hweight * manhattan(Point{n.x, n.y}, dst), tn, n.version});
       ++pushes_;
     }
-    std::make_heap(heap_.begin(), heap_.end(), HeapWorse{});
+    queue_.heapify();
     const int dst_node = g_.node(dst);
+    const int num_h = g_.num_h;
+    const int e = g_.e;
     std::int64_t expanded_here = 0;
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), HeapWorse{});
-      const HeapItem item = heap_.back();
-      heap_.pop_back();
+    while (!queue_.empty()) {
+      const MazeQueue::Entry top = queue_.pop();
       ++pops_;
-      const int u = item.node;
-      if (item.g > dist_[u]) continue;  // stale entry
+      const int u = top.node;
+      if (top.version != nodes_[u].version) continue;  // stale entry
       ++expanded_;
+      const double base = nodes_[u].dist;
       if (u == dst_node) {
-        if (verify) check_lookahead(ref_found, ref_cost, true, dist_[u]);
+        if (verify) check_lookahead(ref_found, ref_cost, true, base);
         return true;
       }
       if (opt_.max_expansions_per_connection >= 0 &&
           ++expanded_here > opt_.max_expansions_per_connection)
         return false;
-      const Point up = g_.point(u);
-      for (int dir = 0; dir < 4; ++dir) {
-        Point vp;
-        const int e = g_.edge_from(up, dir, vp);
-        if (e < 0 || !region.contains(vp)) continue;
+      const int x = nodes_[u].x, y = nodes_[u].y;
+      auto relax = [&](int v, int edge, int vx, int vy) {
         const double ng =
-            item.g + crit + (1.0 - crit) * edge_cost(e, cap, present_factor);
-        const int v = g_.node(vp);
-        if (stamp_[v] != generation_ || ng < dist_[v]) {
-          stamp_[v] = generation_;
-          dist_[v] = ng;
-          prev_edge_[v] = e;
-          prev_node_[v] = u;
-          heap_.push_back({ng + hweight * manhattan(vp, dst), ng, v});
-          std::push_heap(heap_.begin(), heap_.end(), HeapWorse{});
+            base + crit + (1.0 - crit) * edge_cost(edge, cap, present_factor);
+        MazeNode& nv = nodes_[v];
+        if (nv.stamp != generation_ || ng < nv.dist) {
+          nv.stamp = generation_;
+          nv.dist = ng;
+          nv.prev_edge = edge;
+          nv.prev_node = u;
+          ++nv.version;
+          queue_.push({ng + hweight * manhattan(Point{vx, vy}, dst), v, nv.version});
           ++pushes_;
         }
-      }
+      };
+      // Directions +x, -x, +y, -y, as ChannelGraph::edge_from numbers them.
+      // The region lies inside the grid, so its bounds are the grid bounds.
+      // Horizontal edge (x,y)-(x+1,y) is y*(e-1)+x = u-y; vertical edge
+      // (x,y)-(x,y+1) is num_h + u.
+      const bool row_in = y >= region.ymin && y <= region.ymax;
+      const bool col_in = x >= region.xmin && x <= region.xmax;
+      if (row_in && x + 1 >= region.xmin && x + 1 <= region.xmax)
+        relax(u + 1, u - y, x + 1, y);
+      if (row_in && x - 1 >= region.xmin && x - 1 <= region.xmax)
+        relax(u - 1, u - y - 1, x - 1, y);
+      if (col_in && y + 1 >= region.ymin && y + 1 <= region.ymax)
+        relax(u + e, num_h + u, x, y + 1);
+      if (col_in && y - 1 >= region.ymin && y - 1 <= region.ymax)
+        relax(u - e, num_h + u - e, x, y - 1);
     }
     if (verify) check_lookahead(ref_found, ref_cost, false, 0.0);
     return false;
@@ -405,7 +429,8 @@ class PathFinder {
 
   /// Reference Dijkstra (no lookahead) over scratch arrays; used only by
   /// verify_lookahead. Does not touch the committed search state or the work
-  /// counters.
+  /// counters. It keeps the std:: heap, geometry helpers and stale-cost test
+  /// so that it stays independent of the maze search it checks.
   bool dijkstra_reference(Point dst, const Rect& region, int cap,
                           double present_factor, double crit, double& cost) {
     if (ref_dist_.empty()) {
@@ -520,12 +545,22 @@ class PathFinder {
   std::vector<char> overused_;
   std::vector<NetId> to_route_;
 
+  /// Maze state of one grid node: a 32-byte aligned record, so an expansion
+  /// or relaxation reads one cache line per node. Fields other than x, y are
+  /// valid only while `stamp` equals the current search's generation.
+  struct alignas(32) MazeNode {
+    double dist = kInf;
+    int stamp = 0;
+    int prev_edge = -1;
+    int prev_node = -1;
+    std::uint32_t version = 0;  ///< queue pushes of this node so far
+    std::int16_t x = 0, y = 0;  ///< grid coordinates
+  };
+  static_assert(sizeof(MazeNode) == 32);
+
   // Maze scratch (generation-stamped).
-  std::vector<double> dist_;
-  std::vector<int> prev_edge_;
-  std::vector<int> prev_node_;
-  std::vector<int> stamp_;
-  std::vector<HeapItem> heap_;
+  std::vector<MazeNode> nodes_;
+  MazeQueue queue_;
   int generation_ = 0;
 
   // verify_lookahead scratch (allocated on first use).

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "gen/circuit_gen.h"
 #include "place/annealer.h"
+#include "route/maze_queue.h"
 #include "route/router.h"
 #include "test_helpers.h"
 #include "timing/timing_graph.h"
@@ -14,32 +20,67 @@ using testing::TinyPlaced;
 
 /// Medium generated circuit with a random placement: enough congestion for
 /// the negotiation/W_min machinery to be exercised, small enough to stay
-/// fast. Same fixture as the pinned goldens below.
+/// fast. Same fixture as the pinned goldens below; the defaults are the
+/// fixture every test uses unless it names another circuit.
 struct SeededPlaced {
   Netlist nl;
   FpgaGrid grid;
   Placement pl;
 
-  static Netlist make() {
+  static Netlist make(int num_logic, std::uint64_t seed) {
     CircuitSpec spec;
-    spec.num_logic = 60;
+    spec.num_logic = num_logic;
     spec.num_inputs = 8;
     spec.num_outputs = 8;
     spec.registered_fraction = 0.2;
     spec.depth = 6;
-    spec.seed = 1;
+    spec.seed = seed;
     return generate_circuit(spec);
   }
 
-  SeededPlaced()
-      : nl(make()),
+  explicit SeededPlaced(int num_logic = 60, std::uint64_t seed = 1,
+                        std::uint64_t place_seed = 4)
+      : nl(make(num_logic, seed)),
         grid(FpgaGrid::min_grid_for(nl.num_logic(),
                                     nl.num_input_pads() + nl.num_output_pads())),
         pl([&] {
-          Rng rng(4);
+          Rng rng(place_seed);
           return random_placement(nl, grid, rng);
         }()) {}
 };
+
+/// FNV-1a over every net's committed route edges, each net prefixed by its
+/// edge count so that moving an edge between nets changes the hash.
+std::uint64_t route_hash(const RoutingResult& r) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const std::vector<std::int32_t>& edges : r.net_route_edges) {
+    mix(edges.size());
+    for (std::int32_t e : edges) mix(static_cast<std::uint32_t>(e));
+  }
+  return h;
+}
+
+/// "width/success/passes/nodes" of every W_min probe, space-separated.
+std::string probe_list(const WminSearchStats& st) {
+  std::string s;
+  for (const WminProbeStats& p : st.probes) {
+    if (!s.empty()) s += ' ';
+    s += std::to_string(p.width) + '/' + (p.success ? '1' : '0') + '/' +
+         std::to_string(p.passes) + '/' + std::to_string(p.nodes_expanded);
+  }
+  return s;
+}
+
+/// Deterministic per-connection criticalities in [0, 0.9].
+double pinned_crit(CellId cell, int pin) {
+  return ((cell.index() * 7 + static_cast<std::size_t>(pin)) % 10) / 10.0;
+}
 
 TEST(Router, InfiniteResourcesRouteEverything) {
   TinyPlaced t;
@@ -232,10 +273,7 @@ TEST(Router, AStarMatchesDijkstraOracle) {
   RoutingResult tight = route(s.nl, s.pl, opt);
   EXPECT_EQ(tight.lookahead_mismatches, 0u);
 
-  auto crit = [](CellId cell, int pin) {
-    return ((cell.index() * 7 + static_cast<std::size_t>(pin)) % 10) / 10.0;
-  };
-  RoutingResult crit_routed = route(s.nl, s.pl, opt, crit);
+  RoutingResult crit_routed = route(s.nl, s.pl, opt, pinned_crit);
   EXPECT_EQ(crit_routed.lookahead_mismatches, 0u);
   EXPECT_GT(crit_routed.nodes_expanded, 0u);
 }
@@ -337,6 +375,103 @@ TEST(Router, StallAbortOnlyDeclaresTrueFailures) {
     opt.channel_width = wmin - 1;
     EXPECT_FALSE(route(s.nl, s.pl, opt).success) << "window " << window;
   }
+}
+
+TEST(MazeQueue, MakesTheStdHeapMovesEvenOnTies) {
+  // The maze queue must leave its entries where std::make_heap /
+  // std::push_heap / std::pop_heap would, so that entries with equal
+  // (f, node) still pop in the order the std:: heap gave them. Few distinct
+  // keys force many such ties; the version tells tied entries apart.
+  using Entry = MazeQueue::Entry;
+  auto worse = [](const Entry& a, const Entry& b) {
+    if (a.f != b.f) return a.f > b.f;
+    return a.node > b.node;
+  };
+  auto same = [](const Entry& a, const Entry& b) {
+    return a.f == b.f && a.node == b.node && a.version == b.version;
+  };
+  Rng rng(11);
+  std::uint32_t version = 0;
+  auto draw = [&] {
+    return Entry{0.5 * rng.next_int(0, 4), rng.next_int(0, 3), ++version};
+  };
+  for (int round = 0; round < 40; ++round) {
+    MazeQueue q;
+    std::vector<Entry> ref;
+    const int seeds = rng.next_int(0, 20);
+    for (int i = 0; i < seeds; ++i) {
+      const Entry x = draw();
+      q.append(x);
+      ref.push_back(x);
+    }
+    q.heapify();
+    std::make_heap(ref.begin(), ref.end(), worse);
+    for (int op = 0; op < 300 || !ref.empty(); ++op) {
+      if (op < 300 && (ref.empty() || rng.next_int(0, 2) != 0)) {
+        const Entry x = draw();
+        q.push(x);
+        ref.push_back(x);
+        std::push_heap(ref.begin(), ref.end(), worse);
+        continue;
+      }
+      ASSERT_FALSE(q.empty());
+      const Entry got = q.pop();
+      std::pop_heap(ref.begin(), ref.end(), worse);
+      ASSERT_TRUE(same(got, ref.back())) << "round " << round << " op " << op;
+      ref.pop_back();
+    }
+    EXPECT_TRUE(q.empty());
+  }
+}
+
+struct PinnedSearch {
+  std::string probes;
+  std::uint64_t wmin_nodes, wmin_pushes, wmin_pops;
+  std::uint64_t cold_hash, cold_nodes, cold_pushes, cold_pops;
+  std::uint64_t crit_hash, crit_nodes, crit_pushes, crit_pops;
+};
+
+void expect_pinned(const SeededPlaced& s, const PinnedSearch& want) {
+  WminSearchStats ws;
+  const int wmin = find_min_channel_width(s.nl, s.pl, RouterOptions{}, &ws);
+  EXPECT_EQ(probe_list(ws), want.probes);
+  EXPECT_EQ(ws.nodes_expanded, want.wmin_nodes);
+  EXPECT_EQ(ws.heap_pushes, want.wmin_pushes);
+  EXPECT_EQ(ws.heap_pops, want.wmin_pops);
+
+  RouterOptions at;
+  at.channel_width = wmin;
+  const RoutingResult cold = route(s.nl, s.pl, at);
+  EXPECT_TRUE(cold.success);
+  EXPECT_EQ(route_hash(cold), want.cold_hash);
+  EXPECT_EQ(cold.nodes_expanded, want.cold_nodes);
+  EXPECT_EQ(cold.heap_pushes, want.cold_pushes);
+  EXPECT_EQ(cold.heap_pops, want.cold_pops);
+
+  const RoutingResult crit = route(s.nl, s.pl, at, pinned_crit);
+  EXPECT_EQ(route_hash(crit), want.crit_hash);
+  EXPECT_EQ(crit.nodes_expanded, want.crit_nodes);
+  EXPECT_EQ(crit.heap_pushes, want.crit_pushes);
+  EXPECT_EQ(crit.heap_pops, want.crit_pops);
+}
+
+TEST(Router, SearchWorkAndRoutesPinned) {
+  // Exactness pin for the maze search: the W_min probe sequence, the heap
+  // work counters and a hash of every committed route tree, cold and with
+  // criticalities. Any change to the search's pop order or relaxation shows
+  // here even when W_min and wirelength happen to survive it. A change to
+  // the queue's implementation must leave every value untouched.
+  expect_pinned(SeededPlaced(),
+                PinnedSearch{"0/1/1/1201 9/1/1/1119 7/1/4/5579 6/0/90/73144 7/1/5/7510",
+                             88553, 178718, 93263,
+                             9563802444390795327ull, 7510, 17745, 7888,
+                             16371964472994749417ull, 9391, 21803, 10147});
+  expect_pinned(SeededPlaced(150, 3, 10),
+                PinnedSearch{"0/1/1/4764 16/1/1/3409 12/1/4/11229 10/1/11/39387 "
+                             "9/0/13/240878 10/1/8/68199",
+                             367866, 705438, 419538,
+                             15940430858674230589ull, 68199, 128179, 78673,
+                             5438962860307481764ull, 72232, 147587, 83076});
 }
 
 }  // namespace

@@ -80,7 +80,8 @@ int usage() {
       "  --out-blif FILE    write the optimized netlist\n"
       "  --out-place FILE   write the final placement\n"
       "  --svg FILE         write a placement/criticality SVG\n"
-      "  --verbose          engine debug logging\n");
+      "  --verbose          engine debug logging; with --route, one line per\n"
+      "                     W_min search probe\n");
   return 2;
 }
 
@@ -346,6 +347,14 @@ int run(const Args& args) {
         m.crit_winf, m.crit_wls, m.wmin, static_cast<long long>(m.wirelength),
         static_cast<unsigned long long>(m.route_nodes_expanded),
         static_cast<unsigned long long>(m.route_passes));
+    if (args.verbose) {
+      // Width "inf" is the infinite-resource run that seeds the upper bound.
+      for (const WminProbeStats& p : m.wmin_probes)
+        std::printf("  W_min probe: width %s %s (%s), %d passes, %llu nodes expanded\n",
+                    p.width > 0 ? std::to_string(p.width).c_str() : "inf",
+                    p.success ? "routed" : "failed", p.warm ? "warm" : "cold",
+                    p.passes, static_cast<unsigned long long>(p.nodes_expanded));
+    }
   }
   try {
     if (!args.out_blif.empty()) {
