@@ -16,16 +16,6 @@ FpgaGrid::FpgaGrid(int n, int io_rat) : n_(n), io_rat_(io_rat) {
     }
 }
 
-bool FpgaGrid::is_corner(Point p) const {
-  const int e = extent() - 1;
-  return (p.x == 0 || p.x == e) && (p.y == 0 || p.y == e);
-}
-
-int FpgaGrid::capacity(Point p) const {
-  if (!in_array(p) || is_corner(p)) return 0;
-  return is_logic(p) ? 1 : io_rat_;
-}
-
 int FpgaGrid::min_grid_for(std::size_t num_logic, std::size_t num_io, int io_rat) {
   int n = 1;
   while (static_cast<std::size_t>(n) * n < num_logic ||

@@ -25,14 +25,20 @@ class FpgaGrid {
   bool in_array(Point p) const {
     return p.x >= 0 && p.y >= 0 && p.x < extent() && p.y < extent();
   }
-  bool is_corner(Point p) const;
+  bool is_corner(Point p) const {
+    const int e = extent() - 1;
+    return (p.x == 0 || p.x == e) && (p.y == 0 || p.y == e);
+  }
   bool is_logic(Point p) const {
     return p.x >= 1 && p.x <= n_ && p.y >= 1 && p.y <= n_;
   }
   bool is_io(Point p) const { return in_array(p) && !is_logic(p) && !is_corner(p); }
 
   /// How many blocks can legally sit at p (0 for corners).
-  int capacity(Point p) const;
+  int capacity(Point p) const {
+    if (!in_array(p) || is_corner(p)) return 0;
+    return is_logic(p) ? 1 : io_rat_;
+  }
 
   SlotId slot_at(Point p) const {
     return SlotId(static_cast<SlotId::value_type>(p.y * extent() + p.x));

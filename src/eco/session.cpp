@@ -209,9 +209,11 @@ void apply_structural(Netlist& nl, Placement& pl, LinearDelayModel& dm,
         if (eng) flush_retime(eng, retime_pending);
         // Bounded region re-place: the timing-driven ripple legalizer only
         // touches monotone paths from the overfull location to nearby free
-        // slots, re-timed incrementally through the shared engine.
-        LegalizerResult lr =
-            legalize_timing_driven(nl, pl, dm, LegalizerOptions{}, eng);
+        // slots, re-timed incrementally through the shared engine. Every
+        // committed state is legal, so p is the only overfull slot.
+        LegalizerOptions lopt;
+        lopt.sole_overfull = p;
+        LegalizerResult lr = legalize_timing_driven(nl, pl, dm, lopt, eng);
         if (!lr.success) throw EcoError("legalizer: " + lr.failure);
         fx->legalizer_moves = lr.ripple_moves;
         fx->cells_deleted = lr.unifications;
@@ -379,22 +381,33 @@ void EcoSession::fill_counters(EcoDeltaResult* res) const {
 }
 
 void EcoSession::refresh_wirelength() {
-  net_wl_.resize(snap_.nl->net_capacity(), 0.0);
+  if (!all_nets_dirty_ && dirty_nets_.empty()) return;  // last_wl_ is exact
+  const Netlist& nl = *snap_.nl;
+  const Placement& pl = *snap_.pl;
+  if (!all_nets_dirty_) {
+    for (NetId n : dirty_nets_) {
+      const int pos = n.index() < live_pos_.size() ? live_pos_[n.index()] : -1;
+      if ((pos >= 0) != nl.net_alive(n)) {
+        all_nets_dirty_ = true;  // the live set changed: re-list every net
+        break;
+      }
+      if (pos >= 0) live_wl_[static_cast<std::size_t>(pos)] = pl.net_wirelength(n);
+    }
+  }
   if (all_nets_dirty_) {
-    for (NetId n : snap_.nl->live_net_ids())
-      net_wl_[n.index()] = snap_.pl->net_wirelength(n);
-  } else {
-    for (NetId n : dirty_nets_)
-      if (snap_.nl->net_alive(n))
-        net_wl_[n.index()] = snap_.pl->net_wirelength(n);
+    live_wl_.clear();
+    live_pos_.assign(nl.net_capacity(), -1);
+    for (NetId n : nl.live_net_ids()) {
+      live_pos_[n.index()] = static_cast<int>(live_wl_.size());
+      live_wl_.push_back(pl.net_wirelength(n));
+    }
   }
   all_nets_dirty_ = false;
   dirty_nets_.clear();
-  // Sum live nets in id order: identical association order to
-  // Placement::total_wirelength(), so the cached total is bit-equal.
   double total = 0;
-  for (NetId n : snap_.nl->live_net_ids()) total += net_wl_[n.index()];
+  for (double wl : live_wl_) total += wl;
   last_wl_ = total;
+  ++wirelength_sums_;
 }
 
 void EcoSession::evaluate(EcoDeltaResult* res) {

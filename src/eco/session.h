@@ -129,6 +129,9 @@ class EcoSession {
   const Netlist& netlist() const { return *snap_.nl; }
   const Placement& placement() const { return *snap_.pl; }
   const FlowConfig& config() const { return snap_.cfg; }
+  /// How many times this session summed the per-net wirelengths: writes
+  /// and queries that moved no net reuse the last sum.
+  std::uint64_t wirelength_sums() const { return wirelength_sums_; }
 
   /// Applies one delta. Rejections (validation failure, legalizer dead-end)
   /// return applied=false with the session untouched. FlowCancelled and
@@ -197,11 +200,16 @@ class EcoSession {
   /// the engine.
   bool eng_retime_pending_ = false;
 
-  /// Per-net wirelength cache: evaluation recomputes only dirty nets, then
-  /// sums live nets in id order — bit-matching Placement::total_wirelength().
-  std::vector<double> net_wl_;
+  /// Wirelength cache: the live nets in id order with their wirelengths,
+  /// dense, so a sum walks one contiguous array in the association order of
+  /// Placement::total_wirelength() and is bit-equal to it. Evaluation
+  /// re-measures only dirty nets and re-sums only when some net was dirtied
+  /// since the last sum (last_wl_ is exact whenever none is).
+  std::vector<double> live_wl_;
+  std::vector<int> live_pos_;  ///< per net id: index into live_wl_, or -1
   std::vector<NetId> dirty_nets_;
   bool all_nets_dirty_ = false;
+  std::uint64_t wirelength_sums_ = 0;
 
   double last_crit_ = 0;
   double last_wl_ = 0;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,10 @@ struct LegalizerOptions {
   double near_critical_fraction = 0.4;
   /// Safety bound on legalization passes (one pass resolves one overlap).
   int max_passes = 100000;
+  /// Set by a caller that knows this is the only overfull slot (an ECO move
+  /// onto a legal placement): the legalizer then never scans the grid for
+  /// overlaps. Results are those of the scan, which would find only it.
+  std::optional<Point> sole_overfull;
 };
 
 /// One Placement::place() call made by the legalizer.
@@ -64,5 +69,14 @@ LegalizerResult legalize_timing_driven(Netlist& nl, Placement& pl,
                                        const LinearDelayModel& dm,
                                        const LegalizerOptions& opt = {},
                                        TimingEngine* eng = nullptr);
+
+/// The nearest free logic slot in each quadrant around `c` (Section V-A: "up
+/// to four closest free slots, one in each quadrant"). Quadrant q holds the
+/// slots with (x >= c.x) == bit 0 of q and (y >= c.y) == bit 1, so axis ties
+/// go to the positive side; slots come out in ascending q, one per quadrant
+/// that has a free slot. Within a quadrant the smallest Manhattan distance
+/// wins, then the smallest (y, x). The search walks rings outward from `c`,
+/// so it costs the area up to the farthest winner, not the whole grid.
+std::vector<Point> quadrant_free_slots(const Placement& pl, Point c);
 
 }  // namespace repro

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
-#include <queue>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -106,7 +106,10 @@ TimingNodeId TimingEngine::alloc_node(TimingNodeKind kind, CellId cell) {
     fwd_flag_.push_back(0);
     bwd_flag_.push_back(0);
   }
-  if (kind == TimingNodeKind::kSink) tg_.sink_nodes_.push_back(id);
+  if (kind == TimingNodeKind::kSink) {
+    tg_.sink_nodes_.push_back(id);
+    sinks_reshaped_ = true;
+  }
   mark_fwd(id);
   mark_bwd(id);
   return id;
@@ -117,6 +120,7 @@ void TimingEngine::free_node(TimingNodeId n) {
   if (tg_.nodes_[n.index()].kind == TimingNodeKind::kSink) {
     auto& sinks = tg_.sink_nodes_;
     sinks.erase(std::remove(sinks.begin(), sinks.end(), n), sinks.end());
+    sinks_reshaped_ = true;
   }
   tg_.nodes_[n.index()] = TimingNode{TimingNodeKind::kComb, CellId::invalid()};
   tg_.arrival_[n.index()] = 0.0;
@@ -298,19 +302,24 @@ double TimingEngine::recompute_downstream(std::size_t n) const {
 
 void TimingEngine::propagate_dirty() {
   std::uint64_t nodes_redone = 0;
-  using QItem = std::pair<int, TimingNodeId::value_type>;
+  const std::size_t crit = tg_.critical_sink_.valid()
+                               ? tg_.critical_sink_.index()
+                               : std::numeric_limits<std::size_t>::max();
 
   // Forward: dirty nodes in ascending topo position, so every fanin is final
   // when a node is re-evaluated.
-  std::priority_queue<QItem, std::vector<QItem>, std::greater<QItem>> fq;
+  const std::greater<QueueItem> min_first;
+  auto push_fwd = [&](TimingNodeId n) {
+    fwd_queue_.push_back({topo_pos_[n.index()], n.value()});
+    std::push_heap(fwd_queue_.begin(), fwd_queue_.end(), min_first);
+  };
   for (TimingNodeId n : fwd_seed_)
-    if (fwd_flag_[n.index()]) fq.push({topo_pos_[n.index()], n.value()});
+    if (fwd_flag_[n.index()]) push_fwd(n);
   fwd_seed_.clear();
-  while (!fq.empty()) {
-    auto [pos, v] = fq.top();
-    fq.pop();
-    (void)pos;
-    const std::size_t n = static_cast<std::size_t>(v);
+  while (!fwd_queue_.empty()) {
+    std::pop_heap(fwd_queue_.begin(), fwd_queue_.end(), min_first);
+    const std::size_t n = static_cast<std::size_t>(fwd_queue_.back().second);
+    fwd_queue_.pop_back();
     if (!fwd_flag_[n]) continue;
     fwd_flag_[n] = 0;
     if (!tg_.nodes_[n].cell.valid()) continue;  // freed slot
@@ -318,26 +327,31 @@ void TimingEngine::propagate_dirty() {
     const double a = recompute_arrival(n);
     if (a != tg_.arrival_[n]) {
       tg_.arrival_[n] = a;
+      if (n != crit && tg_.nodes_[n].kind == TimingNodeKind::kSink)
+        changed_sink_max_ = std::max(changed_sink_max_, a);
       for (std::size_t e : tg_.fanout_[n]) {
         TimingNodeId to = tg_.edges_[e].to;
         if (!fwd_flag_[to.index()]) {
           fwd_flag_[to.index()] = 1;
-          fq.push({topo_pos_[to.index()], to.value()});
+          push_fwd(to);
         }
       }
     }
   }
 
   // Backward: descending topo position.
-  std::priority_queue<QItem, std::vector<QItem>, std::less<QItem>> bq;
+  const std::less<QueueItem> max_first;
+  auto push_bwd = [&](TimingNodeId n) {
+    bwd_queue_.push_back({topo_pos_[n.index()], n.value()});
+    std::push_heap(bwd_queue_.begin(), bwd_queue_.end(), max_first);
+  };
   for (TimingNodeId n : bwd_seed_)
-    if (bwd_flag_[n.index()]) bq.push({topo_pos_[n.index()], n.value()});
+    if (bwd_flag_[n.index()]) push_bwd(n);
   bwd_seed_.clear();
-  while (!bq.empty()) {
-    auto [pos, v] = bq.top();
-    bq.pop();
-    (void)pos;
-    const std::size_t n = static_cast<std::size_t>(v);
+  while (!bwd_queue_.empty()) {
+    std::pop_heap(bwd_queue_.begin(), bwd_queue_.end(), max_first);
+    const std::size_t n = static_cast<std::size_t>(bwd_queue_.back().second);
+    bwd_queue_.pop_back();
     if (!bwd_flag_[n]) continue;
     bwd_flag_[n] = 0;
     if (!tg_.nodes_[n].cell.valid()) continue;
@@ -349,7 +363,7 @@ void TimingEngine::propagate_dirty() {
         TimingNodeId from = tg_.edges_[e].from;
         if (!bwd_flag_[from.index()]) {
           bwd_flag_[from.index()] = 1;
-          bq.push({topo_pos_[from.index()], from.value()});
+          push_bwd(from);
         }
       }
     }
@@ -358,14 +372,41 @@ void TimingEngine::propagate_dirty() {
   timing_counters().nodes_reevaluated += nodes_redone;
 }
 
-void TimingEngine::recompute_critical() {
-  tg_.critical_delay_ = 0;
-  tg_.critical_sink_ = TimingNodeId::invalid();
+/// The critical end point by definition: the first sink in node-id order
+/// whose arrival is the largest (TimingGraph::run_sta's rule).
+void TimingEngine::scan_critical(double* delay, TimingNodeId* sink) const {
+  *delay = 0;
+  *sink = TimingNodeId::invalid();
   for (TimingNodeId s : tg_.sink_nodes_) {
-    if (!tg_.critical_sink_.valid() || tg_.arrival_[s.index()] > tg_.critical_delay_) {
-      tg_.critical_delay_ = tg_.arrival_[s.index()];
-      tg_.critical_sink_ = s;
+    if (!sink->valid() || tg_.arrival_[s.index()] > *delay) {
+      *delay = tg_.arrival_[s.index()];
+      *sink = s;
     }
+  }
+}
+
+void TimingEngine::recompute_critical() {
+  // Without a scan: when no sink came or went, the critical sink did not
+  // fall, and every other sink whose arrival changed stays below it, the
+  // critical sink keeps the first maximum. Unchanged sinks are at most the
+  // old critical delay, and those equal to it come after it in id order.
+  const TimingNodeId s = tg_.critical_sink_;
+  if (!sinks_reshaped_ && s.valid() && tg_.arrival_[s.index()] >= tg_.critical_delay_ &&
+      changed_sink_max_ < tg_.arrival_[s.index()]) {
+    tg_.critical_delay_ = tg_.arrival_[s.index()];
+  } else {
+    scan_critical(&tg_.critical_delay_, &tg_.critical_sink_);
+  }
+  sinks_reshaped_ = false;
+  changed_sink_max_ = -std::numeric_limits<double>::infinity();
+  if (paranoid_) {
+    double delay;
+    TimingNodeId sink;
+    scan_critical(&delay, &sink);
+    if (delay != tg_.critical_delay_ || sink != tg_.critical_sink_)
+      throw std::logic_error(
+          "TimingEngine paranoid check failed: incremental critical sink "
+          "differs from a scan of all sinks");
   }
 }
 
@@ -442,6 +483,8 @@ void TimingEngine::clear_pending() {
   bwd_seed_.clear();
   fwd_flag_.assign(tg_.nodes_.size(), 0);
   bwd_flag_.assign(tg_.nodes_.size(), 0);
+  sinks_reshaped_ = false;
+  changed_sink_max_ = -std::numeric_limits<double>::infinity();
 }
 
 void TimingEngine::commit() {

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "timing/timing_graph.h"
@@ -111,6 +113,7 @@ class TimingEngine {
   double recompute_downstream(std::size_t n) const;
   void propagate_dirty();
   void recompute_critical();
+  void scan_critical(double* delay, TimingNodeId* sink) const;
   void full_retime();
   void clear_pending();
   void verify_against_oracle() const;
@@ -134,6 +137,18 @@ class TimingEngine {
   std::vector<TimingNodeId> bwd_seed_;
   std::vector<char> fwd_flag_;
   std::vector<char> bwd_flag_;
+
+  // propagate_dirty()'s worklists, (topo position, node) heaps kept across
+  // updates so they never reallocate.
+  using QueueItem = std::pair<int, TimingNodeId::value_type>;
+  std::vector<QueueItem> fwd_queue_;
+  std::vector<QueueItem> bwd_queue_;
+
+  // What recompute_critical() needs to know to skip its scan of all sinks:
+  // whether the sink set changed, and the latest new arrival among the
+  // sinks other than the critical one whose arrival changed.
+  bool sinks_reshaped_ = false;
+  double changed_sink_max_ = -std::numeric_limits<double>::infinity();
 
   // Structure bookkeeping.
   std::vector<int> topo_pos_;

@@ -860,6 +860,88 @@ TEST(EcoSession, RollbackAfterRelegalizingWriteRestoresExactBytes) {
   EXPECT_EQ(s.cold_rebuild_audit(), "");
 }
 
+TEST(EcoSession, UnchangedWritesSkipTheWirelengthSum) {
+  // The session sums its per-net wirelengths only when some net moved since
+  // the last sum; every answer must still be bit-equal to a full re-sum.
+  EcoResultCache cache;
+  EcoSessionOptions opt;
+  opt.cache = &cache;
+  EcoSession s("s", make_placed_snapshot("tseng", 0.05, 7), opt);
+  EcoSession follow("follow", make_placed_snapshot("tseng", 0.05, 7), opt);
+  Rng rng(17);
+  std::uint64_t sums = s.wirelength_sums();
+  auto expect_op = [&](EcoSession& sess, const EcoDeltaResult& res, bool summed) {
+    EXPECT_EQ(res.wirelength, sess.placement().total_wirelength());
+    EXPECT_EQ(sess.wirelength_sums(), sums + (summed ? 1 : 0));
+    sums = sess.wirelength_sums();
+  };
+  auto apply = [&](EcoSession& sess, const Delta& d) {
+    const EcoDeltaResult res = sess.apply(d);
+    EXPECT_TRUE(res.applied) << res.reject;
+    return res;
+  };
+  const std::vector<CellId> logic = live_logic_cells(s.netlist());
+  auto set_function = [&](CellId c, bool registered) {
+    Delta d;
+    d.kind = DeltaKind::kSetFunction;
+    d.cell = c.value();
+    d.function = s.netlist().cell(c).function ^ 0x5u;
+    d.registered = registered;
+    return d;
+  };
+  // A truth-table edit, and a flip-flop added (which cannot close a loop).
+  const Delta fn = set_function(logic[3], s.netlist().cell(logic[3]).registered);
+  CellId comb = logic[0];
+  for (CellId c : logic)
+    if (!s.netlist().cell(c).registered) comb = c;
+  const Delta reg = set_function(comb, true);
+  const std::vector<Point> free = s.placement().free_logic_locations();
+  ASSERT_FALSE(free.empty());
+  const Delta move = move_delta(logic[5], free[0]);
+  const Delta nudge = nudge_delta(s.config().delay, rng);
+
+  // Evaluated writes that move no net, and a query after each.
+  std::vector<Delta> writes = {fn, reg, nudge};
+  for (const Delta& d : writes) {
+    const EcoDeltaResult res = apply(s, d);
+    EXPECT_FALSE(res.cache_hit);
+    expect_op(s, res, false);
+    expect_op(s, s.query(), false);
+  }
+  // A move re-sums once; the query after it does not.
+  writes.push_back(move);
+  expect_op(s, apply(s, move), true);
+  expect_op(s, s.query(), false);
+  // A re-legalizing move likewise.
+  writes.push_back(relegalizing_move(s.netlist(), s.placement(), rng));
+  const EcoDeltaResult relegalized = apply(s, writes.back());
+  EXPECT_GT(relegalized.legalizer_moves, 0);
+  expect_op(s, relegalized, true);
+  expect_op(s, s.query(), false);
+
+  // Cache hits: the function and delay-model writes leave nothing to sum,
+  // and neither do the queries after them; the hit on the move takes its
+  // answer from the cache and leaves the sum to the next query.
+  sums = follow.wirelength_sums();
+  for (std::size_t i = 0; i < writes.size(); ++i) {
+    SCOPED_TRACE(i);
+    const EcoDeltaResult res = apply(follow, writes[i]);
+    EXPECT_TRUE(res.cache_hit);
+    expect_op(follow, res, false);
+    expect_op(follow, follow.query(), i >= 3);
+  }
+
+  // A rolled-back write re-lists every net at the next query.
+  CancelToken expired;
+  expired.set_deadline_after(-1.0);
+  sums = s.wirelength_sums();
+  EXPECT_THROW(s.apply(move_delta(logic[7], free[1]), &expired),
+               FlowCancelled);
+  expect_op(s, s.query(), true);
+  expect_op(s, s.query(), false);
+  EXPECT_EQ(s.cold_rebuild_audit(), "");
+}
+
 // ---- session manager / JSONL surface ---------------------------------------
 
 TEST(SessionManager, ClassifiesAndParsesOpLines) {

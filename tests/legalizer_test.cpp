@@ -1,13 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <climits>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "audit/auditor.h"
 #include "gen/circuit_gen.h"
 #include "place/annealer.h"
 #include "place/legalizer.h"
 #include "test_helpers.h"
+#include "timing/timing_engine.h"
 #include "timing/timing_graph.h"
+#include "util/rng.h"
 
 namespace repro {
 namespace {
@@ -240,6 +247,191 @@ TEST(Legalizer, ZeroAreaGridFailsCleanly) {
   LegalizerResult r = legalize_timing_driven(nl, pl, dm);
   EXPECT_FALSE(r.success);
   EXPECT_TRUE(occupant_lists_consistent(nl, pl));
+}
+
+// The whole-grid scan quadrant_free_slots used before its ring search, kept
+// as the oracle: every logic slot in row-major order, the first free one at
+// the smallest distance winning its quadrant.
+std::vector<Point> quadrant_free_slots_by_full_scan(const Placement& pl, Point c) {
+  const FpgaGrid& grid = pl.grid();
+  Point best[4];
+  int best_d[4] = {INT_MAX, INT_MAX, INT_MAX, INT_MAX};
+  for (Point p : grid.logic_locations()) {
+    if (p == c || pl.occupancy(p) >= grid.capacity(p)) continue;
+    const int q = (p.x >= c.x ? 1 : 0) | (p.y >= c.y ? 2 : 0);
+    const int d = manhattan(p, c);
+    if (d < best_d[q]) {
+      best_d[q] = d;
+      best[q] = p;
+    }
+  }
+  std::vector<Point> out;
+  for (int q = 0; q < 4; ++q)
+    if (best_d[q] != INT_MAX) out.push_back(best[q]);
+  return out;
+}
+
+TEST(Legalizer, RingSearchMatchesFullScan) {
+  Rng rng(2024);
+  int short_answers = 0;
+  int full_quadrants = 0;
+  for (int n : {1, 2, 3, 5, 8, 13, 21}) {
+    Netlist nl;
+    const CellId pi = nl.add_input_pad("pi");
+    std::vector<CellId> cells;
+    for (int i = 0; i < n * n + 1; ++i)
+      cells.push_back(
+          nl.add_logic("g" + std::to_string(i), {nl.cell(pi).output}, 0b10, false));
+    const FpgaGrid grid(n);
+    for (int trial = 0; trial < 80; ++trial) {
+      // The congested slot: anywhere, on a border, on a logic corner, or on
+      // a corner of the array itself.
+      const int e = n + 1;
+      Point c{1 + static_cast<int>(rng.next_below(n)), 1 + static_cast<int>(rng.next_below(n))};
+      switch (trial % 4) {
+        case 1:
+          (rng.next_below(2) ? c.x : c.y) = rng.next_below(2) ? 1 : n;
+          break;
+        case 2:
+          c = Point{rng.next_below(2) ? 1 : n, rng.next_below(2) ? 1 : n};
+          break;
+        case 3:
+          c = Point{rng.next_below(2) ? 0 : e, rng.next_below(2) ? 0 : e};
+          break;
+      }
+      // Random fill, sometimes with one quadrant left without a free slot.
+      Placement pl(nl, grid);
+      const std::uint64_t fill_pct = rng.next_below(101);
+      const int full = static_cast<int>(rng.next_below(6));  // 4, 5: none
+      if (full < 4) ++full_quadrants;
+      std::size_t next = 0;
+      for (Point p : grid.logic_locations()) {
+        const int q = (p.x >= c.x ? 1 : 0) | (p.y >= c.y ? 2 : 0);
+        if (q == full || rng.next_below(100) < fill_pct) pl.place(cells[next++], p);
+      }
+      if (grid.is_logic(c)) pl.place(cells[next++], c);  // congest it
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " trial=" << trial
+                                        << " c=" << c << " fill=" << fill_pct);
+      const std::vector<Point> want = quadrant_free_slots_by_full_scan(pl, c);
+      EXPECT_EQ(quadrant_free_slots(pl, c), want);
+      if (want.size() < 4) ++short_answers;
+    }
+  }
+  EXPECT_GT(full_quadrants, 100);
+  EXPECT_GT(short_answers, 100);
+}
+
+using PinnedMoves = std::vector<std::array<int, 3>>;  // cell id, x, y
+
+PinnedMoves moves_of(const LegalizerResult& r) {
+  PinnedMoves out;
+  for (const LegalizerMove& m : r.moves)
+    out.push_back({static_cast<int>(m.cell.value()), m.to.x, m.to.y});
+  return out;
+}
+
+// A generated 60-LUT circuit placed at random on a grid with `spare` more
+// logic slots than it needs (at least; the grid is square).
+struct GeneratedPlaced {
+  GeneratedPlaced(std::uint64_t seed, std::size_t spare) : rng(seed) {
+    CircuitSpec spec;
+    spec.num_logic = 60;
+    spec.num_inputs = 6;
+    spec.num_outputs = 6;
+    spec.depth = 5;
+    spec.seed = seed;
+    nl = generate_circuit(spec);
+    grid = std::make_unique<FpgaGrid>(FpgaGrid::min_grid_for(
+        nl.num_logic() + spare, nl.num_input_pads() + nl.num_output_pads()));
+    pl = std::make_unique<Placement>(random_placement(nl, *grid, rng));
+    for (CellId c : nl.live_cell_ids())
+      if (nl.cell(c).kind == CellKind::kLogic) logic.push_back(c);
+  }
+  Netlist nl;
+  Rng rng;
+  std::unique_ptr<FpgaGrid> grid;
+  std::unique_ptr<Placement> pl;
+  std::vector<CellId> logic;
+  LinearDelayModel dm;
+};
+
+TEST(Legalizer, MovesPinned) {
+  // Move lists recorded before the ring search, the resumed overlap scan and
+  // the per-pass cost neighborhoods: the legalizer must make exactly these.
+  {
+    // One overlap on a grid with four free slots: a four-step ripple.
+    GeneratedPlaced g(5, 0);
+    g.pl->place(g.logic[10], g.pl->location(g.logic[40]));
+    const LegalizerResult r = legalize_timing_driven(g.nl, *g.pl, g.dm);
+    EXPECT_TRUE(r.success);
+    EXPECT_EQ(r.overlaps_resolved, 1);
+    EXPECT_EQ(moves_of(r), (PinnedMoves{{54, 2, 6}, {52, 3, 6}, {51, 3, 5}, {46, 3, 4}}));
+  }
+  for (bool engine : {false, true}) {
+    SCOPED_TRACE(engine ? "engine" : "standalone");
+    // Two replicas next to their originals and eight cells stacked on
+    // occupied slots: nine overlaps, one of them ending in a unification.
+    GeneratedPlaced g(9, 6);
+    int made = 0;
+    for (CellId c : g.logic) {
+      const Net& out = g.nl.net(g.nl.cell(c).output);
+      if (out.sinks.size() < 2 || made == 2) continue;
+      const Sink s = out.sinks[0];
+      const CellId rep = g.nl.replicate_cell(c);
+      g.nl.reassign_input(s.cell, s.pin, g.nl.cell(rep).output);
+      const Point o = g.pl->location(c);
+      g.pl->place(rep, Point{o.x < g.grid->n() ? o.x + 1 : o.x - 1, o.y});
+      ++made;
+    }
+    for (int k = 0; k < 8; ++k) {
+      const CellId a = g.logic[g.rng.next_below(g.logic.size())];
+      const CellId b = g.logic[g.rng.next_below(g.logic.size())];
+      if (a != b) g.pl->place(a, g.pl->location(b));
+    }
+    LegalizerResult r;
+    if (engine) {
+      TimingEngine eng(g.nl, *g.pl, g.dm);
+      r = legalize_timing_driven(g.nl, *g.pl, g.dm, {}, &eng);
+    } else {
+      r = legalize_timing_driven(g.nl, *g.pl, g.dm);
+    }
+    EXPECT_TRUE(r.success);
+    EXPECT_TRUE(g.pl->legal()) << g.pl->check_legal();
+    EXPECT_EQ(r.overlaps_resolved, 9);
+    EXPECT_EQ(r.unifications, 1);
+    EXPECT_EQ(r.ripple_moves, 19);
+    EXPECT_EQ(moves_of(r),
+              (PinnedMoves{{29, 6, 1}, {29, 6, 2}, {21, 6, 1}, {56, 8, 1}, {49, 7, 3},
+                           {24, 6, 3}, {40, 4, 3}, {32, 4, 4}, {45, 4, 5}, {62, 2, 5},
+                           {6, 7, 6},  {19, 8, 6}, {54, 5, 6}, {28, 5, 7}, {45, 3, 5},
+                           {37, 4, 5}, {54, 4, 6}, {28, 5, 6}, {60, 5, 7}}));
+  }
+}
+
+TEST(Legalizer, SoleOverfullHintChangesNothingButTheScan) {
+  // A caller that names the only overfull slot (an ECO move onto a legal
+  // placement) gets exactly the moves of the scanning legalizer.
+  int ripples = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    GeneratedPlaced scan(seed, seed % 3), hint(seed, seed % 3);
+    const CellId a = scan.logic[seed], b = scan.logic[40 - seed];
+    const Point at = scan.pl->location(b);
+    scan.pl->place(a, at);
+    hint.pl->place(a, at);
+    LegalizerOptions opt;
+    opt.sole_overfull = at;
+    TimingEngine scan_eng(scan.nl, *scan.pl, scan.dm), hint_eng(hint.nl, *hint.pl, hint.dm);
+    const LegalizerResult rs =
+        legalize_timing_driven(scan.nl, *scan.pl, scan.dm, {}, &scan_eng);
+    const LegalizerResult rh =
+        legalize_timing_driven(hint.nl, *hint.pl, hint.dm, opt, &hint_eng);
+    EXPECT_TRUE(rh.success);
+    EXPECT_EQ(rh.overlaps_resolved, rs.overlaps_resolved);
+    EXPECT_EQ(moves_of(rh), moves_of(rs));
+    ripples += rh.ripple_moves;
+  }
+  EXPECT_GT(ripples, 12);
 }
 
 TEST(Placement, RejectsOutOfGridCoordinates) {
