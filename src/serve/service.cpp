@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <future>
 #include <thread>
 
 #include "audit/auditor.h"
@@ -558,13 +557,7 @@ std::vector<JobResult> FlowService::run_batch(
   std::vector<JobResult> results(specs.size());
   std::vector<JobTicket> tickets(specs.size());
   const std::vector<std::string> errors = validate_batch(specs);
-  // The caller only waits on the futures, so every concurrent job gets a
-  // worker of its own; a single job at a time runs inline on the caller.
-  const unsigned concurrent = opt_.threads > 0 ? static_cast<unsigned>(opt_.threads)
-                                               : ThreadPool::hardware_threads();
-  ThreadPool pool(concurrent > 1 ? concurrent + 1 : 1);
-  const double submitted = now_seconds();
-  std::vector<std::future<void>> jobs;
+  std::vector<JobTicket*> jobs;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     results[i].spec = specs[i];
     if (!errors[i].empty()) {
@@ -576,10 +569,17 @@ std::vector<JobResult> FlowService::run_batch(
     // Retry backoff jitter is seeded from the job id so simultaneous
     // retries of different jobs spread out deterministically.
     t.backoff_seed = fnv1a64(specs[i].id);
-    jobs.push_back(
-        pool.submit([this, &t, submitted] { run_job(t, submitted); }));
+    jobs.push_back(&t);
   }
-  for (auto& j : jobs) j.get();
+  // One chunk per job: the caller and the pool's workers run `threads` jobs
+  // at a time, claiming them in submission order.
+  const unsigned concurrent = opt_.threads > 0 ? static_cast<unsigned>(opt_.threads)
+                                               : ThreadPool::hardware_threads();
+  ThreadPool pool(concurrent);
+  const double submitted = now_seconds();
+  pool.parallel_for(jobs.size(), 1, [&](std::size_t k) {
+    run_job(*jobs[k], submitted);
+  });
   return results;
 }
 

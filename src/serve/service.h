@@ -197,10 +197,10 @@ class RetryPolicy {
 /// cooperative checkpoints (annealer temperatures, engine iterations, router
 /// passes). A failing, hanging or timed-out job never takes the batch down:
 /// it is reported FAILED/TIMED_OUT with a nonzero per-job error code and the
-/// remaining jobs complete. Jobs run as tasks on a ThreadPool with one worker
-/// per concurrent job (ServiceOptions::threads of them; the caller only
-/// waits), each looping attempt -> run_attempt -> RetryPolicy::settle ->
-/// backoff.
+/// remaining jobs complete. Jobs run as the chunks of one
+/// ThreadPool::parallel_for, ServiceOptions::threads at a time (the caller
+/// runs jobs too) and started in submission order, each looping attempt ->
+/// run_attempt -> RetryPolicy::settle -> backoff.
 class FlowService {
  public:
   explicit FlowService(const ServiceOptions& opt);

@@ -489,42 +489,19 @@ void TimingEngine::clear_pending() {
 
 void TimingEngine::commit() {
   update();
-  shadow_.valid = true;
-  shadow_.nodes = tg_.nodes_;
-  shadow_.edges = tg_.edges_;
-  shadow_.fanin = tg_.fanin_;
-  shadow_.fanout = tg_.fanout_;
-  shadow_.out_node = tg_.out_node_;
-  shadow_.sink_node = tg_.sink_node_;
-  shadow_.sink_nodes = tg_.sink_nodes_;
-  shadow_.topo = tg_.topo_;
-  shadow_.arrival = tg_.arrival_;
-  shadow_.downstream = tg_.downstream_;
-  shadow_.critical_delay = tg_.critical_delay_;
-  shadow_.critical_sink = tg_.critical_sink_;
-  shadow_.topo_pos = topo_pos_;
-  shadow_.node_free = node_free_;
-  shadow_.edge_free = edge_free_;
+  shadow_graph_ = tg_;
+  shadow_topo_pos_ = topo_pos_;
+  shadow_node_free_ = node_free_;
+  shadow_edge_free_ = edge_free_;
 }
 
 void TimingEngine::rollback() {
-  if (!shadow_.valid)
+  if (!shadow_graph_)
     throw std::logic_error("TimingEngine::rollback() without a prior commit()");
-  tg_.nodes_ = shadow_.nodes;
-  tg_.edges_ = shadow_.edges;
-  tg_.fanin_ = shadow_.fanin;
-  tg_.fanout_ = shadow_.fanout;
-  tg_.out_node_ = shadow_.out_node;
-  tg_.sink_node_ = shadow_.sink_node;
-  tg_.sink_nodes_ = shadow_.sink_nodes;
-  tg_.topo_ = shadow_.topo;
-  tg_.arrival_ = shadow_.arrival;
-  tg_.downstream_ = shadow_.downstream;
-  tg_.critical_delay_ = shadow_.critical_delay;
-  tg_.critical_sink_ = shadow_.critical_sink;
-  topo_pos_ = shadow_.topo_pos;
-  node_free_ = shadow_.node_free;
-  edge_free_ = shadow_.edge_free;
+  tg_ = *shadow_graph_;
+  topo_pos_ = shadow_topo_pos_;
+  node_free_ = shadow_node_free_;
+  edge_free_ = shadow_edge_free_;
   clear_pending();
 }
 

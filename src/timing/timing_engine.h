@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -155,26 +156,13 @@ class TimingEngine {
   std::vector<TimingNodeId> node_free_;
   std::vector<std::size_t> edge_free_;
 
-  // commit()/rollback() shadow state.
-  struct Shadow {
-    bool valid = false;
-    std::vector<TimingNode> nodes;
-    std::vector<TimingEdge> edges;
-    std::vector<std::vector<std::size_t>> fanin;
-    std::vector<std::vector<std::size_t>> fanout;
-    std::vector<TimingNodeId> out_node;
-    std::vector<TimingNodeId> sink_node;
-    std::vector<TimingNodeId> sink_nodes;
-    std::vector<TimingNodeId> topo;
-    std::vector<double> arrival;
-    std::vector<double> downstream;
-    double critical_delay = 0;
-    TimingNodeId critical_sink;
-    std::vector<int> topo_pos;
-    std::vector<TimingNodeId> node_free;
-    std::vector<std::size_t> edge_free;
-  };
-  Shadow shadow_;
+  // commit()/rollback() shadow state: the whole graph, so every field it
+  // gains is restored too, plus the engine's structure bookkeeping.
+  // Copy-assigned on each commit() so vector capacities are reused.
+  std::optional<TimingGraph> shadow_graph_;
+  std::vector<int> shadow_topo_pos_;
+  std::vector<TimingNodeId> shadow_node_free_;
+  std::vector<std::size_t> shadow_edge_free_;
 
   bool paranoid_ = false;
 };

@@ -1,8 +1,46 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 
 namespace repro {
+
+/// One parallel_for call. Shared with the helpers it queued: a helper that
+/// pops its entry after every chunk is claimed finds the counter exhausted
+/// and returns without touching `fn`, which the caller no longer keeps alive.
+struct ThreadPool::Loop {
+  Loop(std::size_t n, std::size_t grain, const std::function<void(std::size_t)>& fn)
+      : n(n), grain(grain), chunks((n + grain - 1) / grain), fn(fn) {}
+
+  const std::size_t n, grain, chunks;
+  const std::function<void(std::size_t)>& fn;
+  std::atomic<std::size_t> next{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t done = 0;       // chunks finished; guarded by mu
+  std::exception_ptr error;   // first exception thrown; guarded by mu
+
+  // Claims and runs chunks until none are left.
+  void drain() {
+    std::size_t finished = 0;
+    for (std::size_t c; (c = next.fetch_add(1, std::memory_order_relaxed)) < chunks;
+         ++finished) {
+      const std::size_t hi = std::min(n, (c + 1) * grain);
+      for (std::size_t i = c * grain; i < hi; ++i) {
+        try {
+          fn(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lk(mu);
+          if (!error) error = std::current_exception();
+        }
+      }
+    }
+    if (finished == 0) return;
+    std::lock_guard<std::mutex> lk(mu);
+    if ((done += finished) == chunks) cv.notify_all();
+  }
+};
 
 unsigned ThreadPool::hardware_threads() {
   unsigned n = std::thread::hardware_concurrency();
@@ -10,142 +48,54 @@ unsigned ThreadPool::hardware_threads() {
 }
 
 ThreadPool::ThreadPool(unsigned threads) : num_threads_(std::max(1u, threads)) {
-  const unsigned workers = num_threads_ - 1;
-  queues_.reserve(workers);
-  for (unsigned i = 0; i < workers; ++i)
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  workers_.reserve(workers);
-  for (unsigned i = 0; i < workers; ++i)
-    workers_.emplace_back([this, i](std::stop_token st) { worker_loop(st, i); });
+  workers_.reserve(num_threads_ - 1);
+  for (unsigned i = 1; i < num_threads_; ++i)
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
-  for (auto& w : workers_) w.request_stop();
-  // Locking idle_mu_ before notifying closes the lost-wakeup window: a worker
-  // that evaluated its wait predicate as false cannot block on idle_cv_ until
-  // we release the mutex, so it is guaranteed to observe the notify.
-  { std::lock_guard<std::mutex> lk(idle_mu_); }
-  idle_cv_.notify_all();
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    stop_ = true;
+  }
+  cv_.notify_all();
   workers_.clear();  // joins
 }
 
-void ThreadPool::push_task(std::function<void()> task) {
-  const unsigned q = next_queue_.fetch_add(1, std::memory_order_relaxed) %
-                     static_cast<unsigned>(queues_.size());
-  // pending_ goes up before the task is visible so workers never decrement it
-  // below zero after a successful pop.
-  pending_.fetch_add(1, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lk(queues_[q]->mu);
-    queues_[q]->tasks.push_back(std::move(task));
-  }
-  // Same lost-wakeup fence as in the destructor: synchronize with any worker
-  // mid-way between predicate check and blocking before notifying.
-  { std::lock_guard<std::mutex> lk(idle_mu_); }
-  idle_cv_.notify_one();
-}
-
-bool ThreadPool::try_pop_or_steal(std::function<void()>& out, unsigned self) {
-  const unsigned nq = static_cast<unsigned>(queues_.size());
-  // Own queue first (back = LIFO: freshest work, usually parallel_for chunks
-  // spawned by the task this worker just ran).
-  {
-    WorkerQueue& q = *queues_[self];
-    std::lock_guard<std::mutex> lk(q.mu);
-    if (!q.tasks.empty()) {
-      out = std::move(q.tasks.back());
-      q.tasks.pop_back();
-      return true;
+void ThreadPool::worker_loop() {
+  for (;;) {
+    std::shared_ptr<Loop> loop;
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      cv_.wait(lk, [&] { return stop_ || !queue_.empty(); });
+      if (stop_) return;
+      loop = std::move(queue_.front());
+      queue_.pop_front();
     }
-  }
-  // Steal from the front of the others (FIFO: oldest work migrates).
-  for (unsigned k = 1; k < nq; ++k) {
-    WorkerQueue& q = *queues_[(self + k) % nq];
-    std::lock_guard<std::mutex> lk(q.mu);
-    if (!q.tasks.empty()) {
-      out = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::stop_token st, unsigned self) {
-  while (!st.stop_requested()) {
-    std::function<void()> task;
-    if (try_pop_or_steal(task, self)) {
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      task();
-      continue;
-    }
-    std::unique_lock<std::mutex> lk(idle_mu_);
-    idle_cv_.wait(lk, [&] {
-      return st.stop_requested() || pending_.load(std::memory_order_acquire) > 0;
-    });
+    loop->drain();
   }
 }
-
-struct ThreadPool::ForState {
-  std::atomic<std::size_t> next_chunk{0};
-  std::atomic<std::size_t> done_items{0};
-  std::size_t n = 0;
-  std::size_t grain = 1;
-  std::size_t num_chunks = 0;
-  const std::function<void(std::size_t)>* fn = nullptr;
-  std::mutex mu;
-  std::condition_variable cv;
-
-  // Runs chunks until none are left; returns items completed by this thread.
-  void drain() {
-    std::size_t completed = 0;
-    for (;;) {
-      const std::size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) break;
-      const std::size_t lo = c * grain;
-      const std::size_t hi = std::min(n, lo + grain);
-      for (std::size_t i = lo; i < hi; ++i) (*fn)(i);
-      completed += hi - lo;
-    }
-    if (completed &&
-        done_items.fetch_add(completed, std::memory_order_acq_rel) + completed == n) {
-      std::lock_guard<std::mutex> lk(mu);
-      cv.notify_all();
-    }
-  }
-};
 
 void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  grain = std::max<std::size_t>(1, grain);
-  if (workers_.empty() || n <= grain) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
+  const auto loop = std::make_shared<Loop>(n, std::max<std::size_t>(1, grain), fn);
+  const std::size_t helpers = std::min<std::size_t>(workers_.size(), loop->chunks - 1);
+  if (helpers > 0) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      queue_.insert(queue_.end(), helpers, loop);
+    }
+    for (std::size_t h = 0; h < helpers; ++h) cv_.notify_one();
   }
 
-  // Shared state owned by shared_ptr: helper tasks that fire after the
-  // caller has already finished every chunk find an exhausted counter and
-  // return without touching freed memory.
-  auto state = std::make_shared<ForState>();
-  state->n = n;
-  state->grain = grain;
-  state->num_chunks = (n + grain - 1) / grain;
-  state->fn = &fn;
+  loop->drain();  // the caller always takes part
 
-  const std::size_t helpers =
-      std::min<std::size_t>(workers_.size(), state->num_chunks - 1);
-  for (std::size_t h = 0; h < helpers; ++h)
-    push_task([state] { state->drain(); });
-
-  state->drain();  // the caller always participates — no idle-wait deadlock
-
-  // Chunks may still be mid-flight on helpers; `fn` (and the caller's stack)
-  // must stay alive until the last item completes.
-  std::unique_lock<std::mutex> lk(state->mu);
-  state->cv.wait(lk, [&] {
-    return state->done_items.load(std::memory_order_acquire) == state->n;
-  });
+  // Chunks may still run on helpers; `fn` (and the caller's stack) must stay
+  // alive until the last one finishes.
+  std::unique_lock<std::mutex> lk(loop->mu);
+  loop->cv.wait(lk, [&] { return loop->done == loop->chunks; });
+  if (loop->error) std::rethrow_exception(loop->error);
 }
 
 }  // namespace repro

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -26,53 +25,6 @@
 
 namespace repro {
 namespace {
-
-// ---- thread pool unit tests -------------------------------------------------
-
-TEST(ThreadPool, SubmitReturnsResults) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  EXPECT_EQ(pool.num_workers(), 3u);
-  std::vector<std::future<int>> futs;
-  for (int i = 0; i < 32; ++i) futs.push_back(pool.submit([i] { return i * i; }));
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(futs[i].get(), i * i);
-}
-
-TEST(ThreadPool, SingleThreadRunsInline) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.num_workers(), 0u);
-  auto fut = pool.submit([] { return 41 + 1; });
-  EXPECT_EQ(fut.get(), 42);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  for (unsigned threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    std::vector<std::atomic<int>> hits(1000);
-    pool.parallel_for(hits.size(), 7,
-                      [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < hits.size(); ++i)
-      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
-  }
-}
-
-TEST(ThreadPool, ParallelForInsidePoolTaskDoesNotDeadlock) {
-  // A parallel_for issued from inside a task of the same pool must complete
-  // even when every worker is busy: the caller participates in its own
-  // chunk loop.
-  ThreadPool pool(2);
-  std::vector<std::future<long>> futs;
-  for (int t = 0; t < 4; ++t) {
-    futs.push_back(pool.submit([&pool] {
-      std::atomic<long> sum{0};
-      pool.parallel_for(100, 3, [&](std::size_t i) {
-        sum.fetch_add(static_cast<long>(i));
-      });
-      return sum.load();
-    }));
-  }
-  for (auto& f : futs) EXPECT_EQ(f.get(), 100L * 99 / 2);
-}
 
 // ---- embedder DP-level parallelism ------------------------------------------
 

@@ -683,8 +683,6 @@ TEST(FlowService, BatchSurvivesHangAndFailure) {
 TEST(FlowService, TwoThreadsRunTwoJobsAtOnce) {
   // threads = 2 runs two jobs side by side: a healthy job starts at once
   // although the job submitted after it hangs until its 1 s stage timeout.
-  // Run one at a time, the pool would start the later, hanging job first
-  // (a worker pops its newest task) and the healthy one would wait for it.
   JobSpec good = small_job("tseng", 3, 1);
   good.route = false;
 
@@ -703,6 +701,37 @@ TEST(FlowService, TwoThreadsRunTwoJobsAtOnce) {
   EXPECT_EQ(res[1].state, JobState::kTimedOut);
   EXPECT_LT(res[0].queue_seconds, 0.5);
   EXPECT_LT(res[1].queue_seconds, 0.5);
+}
+
+TEST(FlowService, JobsStartInSubmissionOrder) {
+  // threads = 2 with more jobs than can run at once: the hanging job holds
+  // one thread until its 1 s stage timeout while the healthy jobs queue for
+  // the other. No job may start before the one submitted ahead of it; the
+  // slack covers two jobs that start at once on two threads.
+  JobSpec hang = small_job("ex5p", 3, 1);
+  hang.id = "hang";
+  hang.route = false;
+  hang.inject_hang_stage = "replicate";
+  hang.timeout_seconds = 1.0;
+  std::vector<JobSpec> specs = {hang};
+  for (std::uint64_t seed : {1, 2, 3}) {
+    JobSpec good = small_job("tseng", seed, 1);
+    good.id = "tseng-" + std::to_string(seed);
+    good.route = false;
+    specs.push_back(good);
+  }
+
+  ServiceOptions opt;
+  opt.threads = 2;
+  FlowService svc(opt);
+  const auto res = svc.run_batch(specs);
+  ASSERT_EQ(res.size(), specs.size());
+  EXPECT_EQ(res[0].state, JobState::kTimedOut);
+  for (std::size_t k = 1; k < res.size(); ++k) {
+    EXPECT_EQ(res[k].state, JobState::kDone) << res[k].spec.id;
+    EXPECT_GE(res[k].queue_seconds + 0.01, res[k - 1].queue_seconds)
+        << res[k].spec.id << " started before " << res[k - 1].spec.id;
+  }
 }
 
 TEST(FlowService, RejectsDuplicateJobIdsAndBadIds) {

@@ -3,9 +3,11 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <future>
+#include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -203,31 +205,122 @@ TEST(Stats, Fmt) {
   EXPECT_EQ(fmt(2.0, 1), "2.0");
 }
 
-// Regression stress for the lost-wakeup race in the pool's park/notify path
-// (push_task and parallel_for must lock idle_mu_ before notifying): a worker
-// that has just evaluated its wait predicate as false must still observe a
-// concurrently pushed task. Single-task bursts against a freshly woken or
-// parking pool maximize that window; the observable failure is a hang (a
-// worker sleeping through the notify while its future never resolves), which
-// the test TIMEOUT turns into a failure. Run under TSan in CI.
+// ---- thread pool -------------------------------------------------------------
+
+TEST(ThreadPool, SingleThreadRunsInline) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.num_threads(), 1u);
+  EXPECT_EQ(pool.num_workers(), 0u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  pool.parallel_for(10, 3, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  ASSERT_EQ(order.size(), 10u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
+  for (unsigned threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(pool.num_threads(), threads);
+    EXPECT_EQ(pool.num_workers(), threads - 1);
+    std::vector<std::atomic<int>> hits(1000);
+    pool.parallel_for(hits.size(), 7,
+                      [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i)
+      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
+  }
+}
+
+TEST(ThreadPool, ParallelForInsidePoolTaskDoesNotDeadlock) {
+  // A parallel_for issued from inside a chunk of the same pool must complete
+  // even when every worker is busy with the outer loop: each caller drains
+  // its own chunks.
+  ThreadPool pool(2);
+  std::vector<long> sums(4, 0);
+  pool.parallel_for(sums.size(), 1, [&](std::size_t t) {
+    std::atomic<long> sum{0};
+    pool.parallel_for(100, 3, [&](std::size_t i) {
+      sum.fetch_add(static_cast<long>(i));
+    });
+    sums[t] = sum.load();
+  });
+  for (long s : sums) EXPECT_EQ(s, 100L * 99 / 2);
+}
+
+TEST(ThreadPool, ParallelForRethrowsAfterAllChunks) {
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(64);
+  std::atomic<int> started{0};
+  std::mutex mu;
+  std::set<std::thread::id> throwers;
+  auto fn = [&](std::size_t i) {
+    hits[i].fetch_add(1);
+    if (i >= 2) return;
+    // Chunks 0 and 1 wait for each other, so they run on two threads: the
+    // caller and the worker. Both throw.
+    started.fetch_add(1);
+    while (started.load() < 2) std::this_thread::yield();
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      throwers.insert(std::this_thread::get_id());
+    }
+    throw std::runtime_error("chunk " + std::to_string(i));
+  };
+  try {
+    pool.parallel_for(hits.size(), 1, fn);
+    ADD_FAILURE() << "parallel_for did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_TRUE(std::string(e.what()) == "chunk 0" ||
+                std::string(e.what()) == "chunk 1")
+        << e.what();
+  }
+  EXPECT_EQ(throwers.size(), 2u);
+  EXPECT_EQ(throwers.count(std::this_thread::get_id()), 1u);
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+
+  // The pool stays usable, and a serial pool keeps the same contract.
+  std::atomic<std::size_t> sum{0};
+  pool.parallel_for(100, 4, [&](std::size_t i) { sum.fetch_add(i); });
+  EXPECT_EQ(sum.load(), 100u * 99 / 2);
+  ThreadPool serial(1);
+  std::vector<int> runs(8, 0);
+  EXPECT_THROW(serial.parallel_for(runs.size(), 1,
+                                   [&](std::size_t i) {
+                                     ++runs[i];
+                                     if (i == 3) throw std::runtime_error("3");
+                                   }),
+               std::runtime_error);
+  for (int r : runs) EXPECT_EQ(r, 1);
+}
+
+// Stress for the pool's park/notify path: parallel_for queues its helpers
+// under the mutex a parking worker tests its wait predicate under, and the
+// destructor raises the stop flag under it. Bursts of tiny ranges against a
+// pool whose workers are waking or parking cycle park -> wake -> park, and
+// helpers often pop a loop the caller already finished. The observable
+// failures are a hang at shutdown (a worker sleeping through the stop
+// notify), a missed or repeated index, and, under TSan in CI, a helper
+// touching a finished loop.
 TEST(ThreadPool, RapidSubmitDrainShutdownCycles) {
   for (int cycle = 0; cycle < 150; ++cycle) {
     ThreadPool pool(3);
-    // 1-task burst on a pool whose workers are about to park.
-    auto single = pool.submit([cycle] { return cycle; });
-    ASSERT_EQ(single.get(), cycle);
+    // A 2-chunk range on a pool whose workers are about to park.
+    std::atomic<int> first{0};
+    pool.parallel_for(2, 1, [&](std::size_t) { first.fetch_add(1); });
+    ASSERT_EQ(first.load(), 2);
 
     // Drain a small burst, then immediately go quiet so workers re-park;
     // repeat to cycle park -> wake -> park within one pool lifetime.
     for (int burst = 0; burst < 3; ++burst) {
-      std::atomic<int> sum{0};
-      std::vector<std::future<void>> fs;
-      fs.reserve(4);
-      for (int i = 0; i < 4; ++i)
-        fs.push_back(pool.submit(
-            [&sum] { sum.fetch_add(1, std::memory_order_relaxed); }));
-      for (auto& f : fs) f.get();
-      ASSERT_EQ(sum.load(), 4);
+      std::vector<std::atomic<int>> hits(4);
+      pool.parallel_for(hits.size(), 1, [&](std::size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (auto& h : hits) ASSERT_EQ(h.load(), 1);
     }
     // Pool destruction: shutdown racing with workers that may be parking.
   }
