@@ -1,5 +1,10 @@
 #include "arch/wirelength.h"
 
+#include <cmath>
+#include <stdexcept>
+
+#include "util/strfmt.h"
+
 namespace repro {
 namespace {
 // Crossing-count coefficients q(k) for k = 1..50 terminals (RISA table, as
@@ -26,6 +31,36 @@ double estimate_wirelength(const std::vector<Point>& terminals) {
 
 double estimate_wirelength(const Rect& bbox, std::size_t num_terminals) {
   return net_size_coefficient(num_terminals) * bbox.half_perimeter();
+}
+
+WirelengthSum::Fixed WirelengthSum::to_fixed(double v) {
+  // Scaling by a power of two is exact, and below 2^116 an integral double
+  // converts to the integer type exactly.
+  const double scaled = v * 0x1p52;
+  if (!(std::abs(v) < 0x1p64) || scaled != std::trunc(scaled))
+    throw std::domain_error("wirelength " + format_double_17g(v) +
+                            " is not a multiple of 2^-52 below 2^64");
+  return static_cast<Fixed>(scaled);
+}
+
+void WirelengthSum::add(double v) {
+  Fixed sum;
+  if (__builtin_add_overflow(acc_, to_fixed(v), &sum))
+    throw std::overflow_error("wirelength total overflows");
+  acc_ = sum;
+}
+
+void WirelengthSum::sub(double v) {
+  Fixed diff;
+  if (__builtin_sub_overflow(acc_, to_fixed(v), &diff))
+    throw std::overflow_error("wirelength total overflows");
+  acc_ = diff;
+}
+
+double WirelengthSum::value() const {
+  // The integer-to-double conversion rounds to nearest, ties to even; the
+  // scaling back is exact.
+  return static_cast<double>(acc_) * 0x1p-52;
 }
 
 }  // namespace repro

@@ -384,29 +384,24 @@ void EcoSession::refresh_wirelength() {
   if (!all_nets_dirty_ && dirty_nets_.empty()) return;  // last_wl_ is exact
   const Netlist& nl = *snap_.nl;
   const Placement& pl = *snap_.pl;
-  if (!all_nets_dirty_) {
-    for (NetId n : dirty_nets_) {
-      const int pos = n.index() < live_pos_.size() ? live_pos_[n.index()] : -1;
-      if ((pos >= 0) != nl.net_alive(n)) {
-        all_nets_dirty_ = true;  // the live set changed: re-list every net
-        break;
-      }
-      if (pos >= 0) live_wl_[static_cast<std::size_t>(pos)] = pl.net_wirelength(n);
-    }
-  }
   if (all_nets_dirty_) {
-    live_wl_.clear();
-    live_pos_.assign(nl.net_capacity(), -1);
-    for (NetId n : nl.live_net_ids()) {
-      live_pos_[n.index()] = static_cast<int>(live_wl_.size());
-      live_wl_.push_back(pl.net_wirelength(n));
-    }
+    net_wl_.assign(nl.net_capacity(), 0.0);
+    wl_total_ = WirelengthSum{};
+    dirty_nets_.clear();
+    for (NetId n : nl.live_net_ids()) dirty_nets_.push_back(n);
+  }
+  net_wl_.resize(nl.net_capacity(), 0.0);
+  // A dead net holds 0, so a net that was born or died needs no special
+  // case; a net listed twice changes the total once.
+  for (NetId n : dirty_nets_) {
+    double& wl = net_wl_[n.index()];
+    wl_total_.sub(wl);
+    wl = nl.net_alive(n) ? pl.net_wirelength(n) : 0.0;
+    wl_total_.add(wl);
   }
   all_nets_dirty_ = false;
   dirty_nets_.clear();
-  double total = 0;
-  for (double wl : live_wl_) total += wl;
-  last_wl_ = total;
+  last_wl_ = wl_total_.value();
   ++wirelength_sums_;
 }
 

@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "arch/wirelength.h"
 #include "audit/auditor.h"
 #include "eco/delta.h"
 #include "place/legalizer.h"
@@ -72,7 +73,8 @@ struct EcoDeltaResult {
   std::uint64_t chain = 0;
   /// Incremental metrics: critical path (placement-estimated STA) and
   /// q(k)-corrected HPWL — bit-identical to a cold TimingGraph build and
-  /// Placement::total_wirelength() on the same state.
+  /// Placement::total_wirelength() on the same state (the session keeps an
+  /// exact per-net total, so only the nets a write moved are re-measured).
   double crit_ns = 0;
   double wirelength = 0;
   int legalizer_moves = 0;
@@ -129,8 +131,8 @@ class EcoSession {
   const Netlist& netlist() const { return *snap_.nl; }
   const Placement& placement() const { return *snap_.pl; }
   const FlowConfig& config() const { return snap_.cfg; }
-  /// How many times this session summed the per-net wirelengths: writes
-  /// and queries that moved no net reuse the last sum.
+  /// How many times this session brought its wirelength total up to date:
+  /// writes and queries that moved no net reuse the last total.
   std::uint64_t wirelength_sums() const { return wirelength_sums_; }
 
   /// Applies one delta. Rejections (validation failure, legalizer dead-end)
@@ -200,13 +202,13 @@ class EcoSession {
   /// the engine.
   bool eng_retime_pending_ = false;
 
-  /// Wirelength cache: the live nets in id order with their wirelengths,
-  /// dense, so a sum walks one contiguous array in the association order of
-  /// Placement::total_wirelength() and is bit-equal to it. Evaluation
-  /// re-measures only dirty nets and re-sums only when some net was dirtied
-  /// since the last sum (last_wl_ is exact whenever none is).
-  std::vector<double> live_wl_;
-  std::vector<int> live_pos_;  ///< per net id: index into live_wl_, or -1
+  /// Wirelength cache: each net id's share of the total (0 for a dead net)
+  /// and their exact sum. Evaluation re-measures only the nets dirtied since
+  /// the last refresh and moves the total by their change; the sum does not
+  /// depend on order, so it reads bit-equal to Placement::total_wirelength()
+  /// (last_wl_ is exact whenever no net is dirty).
+  std::vector<double> net_wl_;
+  WirelengthSum wl_total_;
   std::vector<NetId> dirty_nets_;
   bool all_nets_dirty_ = false;
   std::uint64_t wirelength_sums_ = 0;

@@ -139,9 +139,9 @@ Placement Placement::with_netlist(const Netlist& nl) const {
 }
 
 double Placement::total_wirelength() const {
-  double total = 0;
-  for (NetId n : nl_->live_net_ids()) total += net_wirelength(n);
-  return total;
+  WirelengthSum total;
+  for (NetId n : nl_->live_net_ids()) total.add(net_wirelength(n));
+  return total.value();
 }
 
 }  // namespace repro

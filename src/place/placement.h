@@ -66,7 +66,10 @@ class Placement {
   Rect net_bbox(NetId n) const;
   /// q(k)-corrected HPWL of one net.
   double net_wirelength(NetId n) const;
-  /// Sum of net_wirelength over all live nets with >= 2 terminals.
+  /// Sum of net_wirelength over all live nets with >= 2 terminals: the
+  /// exact sum rounded once (WirelengthSum), so it does not depend on the
+  /// order the nets are visited in, and a running total kept per net (the
+  /// ECO session's) reads bit-equal to it.
   double total_wirelength() const;
 
   /// True if location p can accept a cell of this kind (regardless of

@@ -1,9 +1,9 @@
 #include "timing/timing_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
-#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -306,66 +306,68 @@ void TimingEngine::propagate_dirty() {
                                ? tg_.critical_sink_.index()
                                : std::numeric_limits<std::size_t>::max();
 
-  // Forward: dirty nodes in ascending topo position, so every fanin is final
-  // when a node is re-evaluated.
-  const std::greater<QueueItem> min_first;
-  auto push_fwd = [&](TimingNodeId n) {
-    fwd_queue_.push_back({topo_pos_[n.index()], n.value()});
-    std::push_heap(fwd_queue_.begin(), fwd_queue_.end(), min_first);
+  // The worklist is a set of topological positions. Positions are unique,
+  // a fanout always sits higher and a fanin lower, so scanning the set
+  // upward (downward) while adding fanouts (fanins) visits exactly the
+  // nodes a min-heap (max-heap) on position would pop, in the same order.
+  const std::size_t words = (tg_.topo_.size() + 63) / 64;
+  if (dirty_bits_.size() < words) {
+    dirty_bits_.resize(words, 0);
+    dirty_words_.resize((words + 63) / 64, 0);
+  }
+  auto insert = [&](TimingNodeId n) {
+    const auto pos = static_cast<std::size_t>(topo_pos_[n.index()]);
+    dirty_bits_[pos / 64] |= std::uint64_t{1} << (pos % 64);
+    dirty_words_[pos / 4096] |= std::uint64_t{1} << (pos / 64 % 64);
   };
-  for (TimingNodeId n : fwd_seed_)
-    if (fwd_flag_[n.index()]) push_fwd(n);
-  fwd_seed_.clear();
-  while (!fwd_queue_.empty()) {
-    std::pop_heap(fwd_queue_.begin(), fwd_queue_.end(), min_first);
-    const std::size_t n = static_cast<std::size_t>(fwd_queue_.back().second);
-    fwd_queue_.pop_back();
-    if (!fwd_flag_[n]) continue;
-    fwd_flag_[n] = 0;
-    if (!tg_.nodes_[n].cell.valid()) continue;  // freed slot
-    ++nodes_redone;
-    const double a = recompute_arrival(n);
-    if (a != tg_.arrival_[n]) {
-      tg_.arrival_[n] = a;
-      if (n != crit && tg_.nodes_[n].kind == TimingNodeKind::kSink)
-        changed_sink_max_ = std::max(changed_sink_max_, a);
-      for (std::size_t e : tg_.fanout_[n]) {
-        TimingNodeId to = tg_.edges_[e].to;
-        if (!fwd_flag_[to.index()]) {
-          fwd_flag_[to.index()] = 1;
-          push_fwd(to);
-        }
+  auto seed = [&](std::vector<TimingNodeId>& seeds, std::vector<char>& flag) {
+    for (TimingNodeId n : seeds) {
+      if (!flag[n.index()]) continue;  // freed, or listed twice
+      flag[n.index()] = 0;
+      insert(n);
+    }
+    seeds.clear();
+  };
+
+  // Forward: every fanin is final when a node is re-evaluated.
+  seed(fwd_seed_, fwd_flag_);
+  for (std::size_t s = 0; s < dirty_words_.size(); ++s) {
+    while (dirty_words_[s] != 0) {
+      const std::size_t w = s * 64 + std::countr_zero(dirty_words_[s]);
+      while (dirty_bits_[w] != 0) {
+        const std::size_t pos = w * 64 + std::countr_zero(dirty_bits_[w]);
+        dirty_bits_[w] &= dirty_bits_[w] - 1;
+        const std::size_t n = tg_.topo_[pos].index();
+        if (!tg_.nodes_[n].cell.valid()) continue;  // freed slot
+        ++nodes_redone;
+        const double a = recompute_arrival(n);
+        if (a == tg_.arrival_[n]) continue;
+        tg_.arrival_[n] = a;
+        if (n != crit && tg_.nodes_[n].kind == TimingNodeKind::kSink)
+          changed_sink_max_ = std::max(changed_sink_max_, a);
+        for (std::size_t e : tg_.fanout_[n]) insert(tg_.edges_[e].to);
       }
+      dirty_words_[s] &= ~(std::uint64_t{1} << (w % 64));
     }
   }
 
-  // Backward: descending topo position.
-  const std::less<QueueItem> max_first;
-  auto push_bwd = [&](TimingNodeId n) {
-    bwd_queue_.push_back({topo_pos_[n.index()], n.value()});
-    std::push_heap(bwd_queue_.begin(), bwd_queue_.end(), max_first);
-  };
-  for (TimingNodeId n : bwd_seed_)
-    if (bwd_flag_[n.index()]) push_bwd(n);
-  bwd_seed_.clear();
-  while (!bwd_queue_.empty()) {
-    std::pop_heap(bwd_queue_.begin(), bwd_queue_.end(), max_first);
-    const std::size_t n = static_cast<std::size_t>(bwd_queue_.back().second);
-    bwd_queue_.pop_back();
-    if (!bwd_flag_[n]) continue;
-    bwd_flag_[n] = 0;
-    if (!tg_.nodes_[n].cell.valid()) continue;
-    ++nodes_redone;
-    const double d = recompute_downstream(n);
-    if (d != tg_.downstream_[n]) {
-      tg_.downstream_[n] = d;
-      for (std::size_t e : tg_.fanin_[n]) {
-        TimingNodeId from = tg_.edges_[e].from;
-        if (!bwd_flag_[from.index()]) {
-          bwd_flag_[from.index()] = 1;
-          push_bwd(from);
-        }
+  // Backward: every fanout is final when a node is re-evaluated.
+  seed(bwd_seed_, bwd_flag_);
+  for (std::size_t s = dirty_words_.size(); s-- > 0;) {
+    while (dirty_words_[s] != 0) {
+      const std::size_t w = s * 64 + 63 - std::countl_zero(dirty_words_[s]);
+      while (dirty_bits_[w] != 0) {
+        const int bit = 63 - std::countl_zero(dirty_bits_[w]);
+        dirty_bits_[w] &= ~(std::uint64_t{1} << bit);
+        const std::size_t n = tg_.topo_[w * 64 + static_cast<std::size_t>(bit)].index();
+        if (!tg_.nodes_[n].cell.valid()) continue;
+        ++nodes_redone;
+        const double d = recompute_downstream(n);
+        if (d == tg_.downstream_[n]) continue;
+        tg_.downstream_[n] = d;
+        for (std::size_t e : tg_.fanin_[n]) insert(tg_.edges_[e].from);
       }
+      dirty_words_[s] &= ~(std::uint64_t{1} << (w % 64));
     }
   }
 

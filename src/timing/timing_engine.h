@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -139,11 +140,12 @@ class TimingEngine {
   std::vector<char> fwd_flag_;
   std::vector<char> bwd_flag_;
 
-  // propagate_dirty()'s worklists, (topo position, node) heaps kept across
-  // updates so they never reallocate.
-  using QueueItem = std::pair<int, TimingNodeId::value_type>;
-  std::vector<QueueItem> fwd_queue_;
-  std::vector<QueueItem> bwd_queue_;
+  // propagate_dirty()'s worklist: one bit per topological position, and one
+  // summary bit per 64-bit word that may be non-zero, so a scan passes 4096
+  // clean positions per summary word. Empty between updates; kept so it
+  // never reallocates.
+  std::vector<std::uint64_t> dirty_bits_;
+  std::vector<std::uint64_t> dirty_words_;
 
   // What recompute_critical() needs to know to skip its scan of all sinks:
   // whether the sink set changed, and the latest new arrival among the

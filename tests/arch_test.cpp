@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <random>
+#include <stdexcept>
+#include <vector>
+
 #include "arch/delay_model.h"
 #include "arch/fpga_grid.h"
 #include "arch/wirelength.h"
@@ -115,6 +122,119 @@ TEST(Wirelength, HpwlLargeNetScaled) {
 
 TEST(Wirelength, SinglePointIsZero) {
   EXPECT_DOUBLE_EQ(estimate_wirelength({{5, 5}}), 0.0);
+}
+
+/// Independent reference: Shewchuk's exact expansion, rounded once to
+/// nearest with ties to even (the algorithm of CPython's math.fsum).
+double fsum_reference(const std::vector<double>& xs) {
+  std::vector<double> partials;
+  for (double x : xs) {
+    std::size_t i = 0;
+    for (std::size_t j = 0; j < partials.size(); ++j) {
+      double y = partials[j];
+      if (std::abs(x) < std::abs(y)) std::swap(x, y);
+      const double hi = x + y;
+      const double lo = y - (hi - x);
+      if (lo != 0) partials[i++] = lo;
+      x = hi;
+    }
+    partials.resize(i);
+    partials.push_back(x);
+  }
+  std::size_t n = partials.size();
+  if (n == 0) return 0;
+  double hi = partials[--n];
+  double lo = 0;
+  while (n > 0) {
+    const double x = hi;
+    const double y = partials[--n];
+    hi = x + y;
+    lo = y - (hi - x);
+    if (lo != 0) break;
+  }
+  // Half-way between two doubles: the partials below decide the direction.
+  if (n > 0 && ((lo < 0 && partials[n - 1] < 0) || (lo > 0 && partials[n - 1] > 0))) {
+    const double y = lo * 2;
+    const double x = hi + y;
+    if (y == x - hi) hi = x;
+  }
+  return hi;
+}
+
+/// Net wirelengths as estimate_wirelength() makes them: q(k) * HPWL.
+std::vector<double> random_net_wirelengths(std::mt19937_64& rng, int count) {
+  std::uniform_int_distribution<int> coord(0, 60), terminals(2, 80);
+  std::vector<double> out;
+  for (int i = 0; i < count; ++i) {
+    Rect bb = Rect::around({coord(rng), coord(rng)});
+    bb.include({coord(rng), coord(rng)});
+    out.push_back(estimate_wirelength(bb, static_cast<std::size_t>(terminals(rng))));
+  }
+  return out;
+}
+
+double exact_total(const std::vector<double>& xs) {
+  WirelengthSum sum;
+  for (double x : xs) sum.add(x);
+  return sum.value();
+}
+
+TEST(WirelengthSum, TotalDoesNotDependOnOrder) {
+  std::mt19937_64 rng(11);
+  std::vector<double> wl = random_net_wirelengths(rng, 3000);
+  const double total = exact_total(wl);
+  for (int round = 0; round < 8; ++round) {
+    std::shuffle(wl.begin(), wl.end(), rng);
+    EXPECT_EQ(exact_total(wl), total);
+  }
+  // Values added and taken away again leave no trace.
+  WirelengthSum sum;
+  for (double x : wl) sum.add(x);
+  const std::vector<double> extra = random_net_wirelengths(rng, 500);
+  for (double x : extra) sum.add(x);
+  for (double x : extra) sum.sub(x);
+  EXPECT_EQ(sum.value(), total);
+}
+
+TEST(WirelengthSum, TotalIsTheCorrectlyRoundedExactSum) {
+  std::mt19937_64 rng(5);
+  int sequential_differs = 0;
+  for (int set = 0; set < 200; ++set) {
+    const std::vector<double> wl = random_net_wirelengths(rng, 400);
+    double sequential = 0;
+    for (double x : wl) sequential += x;
+    EXPECT_EQ(exact_total(wl), fsum_reference(wl)) << set;
+    if (sequential != fsum_reference(wl)) ++sequential_differs;
+  }
+  // The sets are ones where order matters: a left-to-right sum rounds
+  // differently on some of them.
+  EXPECT_GT(sequential_differs, 0);
+
+  // Half-way cases round to the even neighbour.
+  const double big = 0x1p53;
+  for (const std::vector<double>& xs :
+       {std::vector<double>{big, 1}, {big, 1, 1}, {big + 2, 1}, {big, 3},
+        {big, 1, 0.5}, {0.5, 0.25, 1}}) {
+    EXPECT_EQ(exact_total(xs), fsum_reference(xs));
+  }
+  EXPECT_EQ(exact_total({big, 1}), big);
+  EXPECT_EQ(exact_total({big + 2, 1}), big + 4);
+  EXPECT_EQ(exact_total({big, 1, 0.5}), big + 2);
+}
+
+TEST(WirelengthSum, RejectsValuesItCannotHoldExactly) {
+  for (double bad : {0.1, 0x1p-53, 1.5 * 0x1p-52, 0x1p64, -0x1p64,
+                     std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    WirelengthSum sum;
+    sum.add(3);
+    EXPECT_THROW(sum.add(bad), std::domain_error) << bad;
+    EXPECT_THROW(sum.sub(bad), std::domain_error) << bad;
+    EXPECT_EQ(sum.value(), 3);  // a refused value leaves the total alone
+  }
+  WirelengthSum sum;
+  EXPECT_NO_THROW(sum.add(0x1p-52));
+  EXPECT_NO_THROW(sum.add(0x1.fffffffffffffp63));
 }
 
 }  // namespace

@@ -861,8 +861,9 @@ TEST(EcoSession, RollbackAfterRelegalizingWriteRestoresExactBytes) {
 }
 
 TEST(EcoSession, UnchangedWritesSkipTheWirelengthSum) {
-  // The session sums its per-net wirelengths only when some net moved since
-  // the last sum; every answer must still be bit-equal to a full re-sum.
+  // The session brings its wirelength total up to date only when some net
+  // moved since the last update; every answer of every write kind must
+  // still be bit-equal to a full re-sum.
   EcoResultCache cache;
   EcoSessionOptions opt;
   opt.cache = &cache;
@@ -918,10 +919,27 @@ TEST(EcoSession, UnchangedWritesSkipTheWirelengthSum) {
   EXPECT_GT(relegalized.legalizer_moves, 0);
   expect_op(s, relegalized, true);
   expect_op(s, s.query(), false);
+  // A rewire: pin 0 of a cell moves onto its pin-1 net, which changes both
+  // nets' sink counts.
+  for (std::size_t i = 8; i < logic.size(); ++i) {
+    const Cell& c = s.netlist().cell(logic[i]);
+    if (c.inputs.size() < 2 || c.inputs[0] == c.inputs[1]) continue;
+    Delta r;
+    r.kind = DeltaKind::kRewireInput;
+    r.cell = logic[i].value();
+    r.pin = 0;
+    r.net = c.inputs[1].value();
+    writes.push_back(r);
+    break;
+  }
+  ASSERT_EQ(writes.back().kind, DeltaKind::kRewireInput);
+  expect_op(s, apply(s, writes.back()), true);
+  expect_op(s, s.query(), false);
 
   // Cache hits: the function and delay-model writes leave nothing to sum,
-  // and neither do the queries after them; the hit on the move takes its
-  // answer from the cache and leaves the sum to the next query.
+  // and neither do the queries after them; the hits on the moves and the
+  // rewire take their answers from the cache and leave the sum to the next
+  // query.
   sums = follow.wirelength_sums();
   for (std::size_t i = 0; i < writes.size(); ++i) {
     SCOPED_TRACE(i);

@@ -342,6 +342,99 @@ TEST(IncrementalTiming, SpliceClosingACombinationalLoopStillThrows) {
   }
 }
 
+/// Exact agreement with a cold build: the same doubles, not merely close.
+void expect_bit_equal_to_cold(const TimingEngine& eng, const Netlist& nl,
+                              const Placement& pl, const LinearDelayModel& dm) {
+  TimingCounterSuppressor suppress;
+  const TimingGraph cold(nl, pl, dm);
+  const TimingGraph& inc = eng.graph();
+  ASSERT_EQ(inc.critical_delay(), cold.critical_delay());
+  for (CellId c : nl.live_cells()) {
+    const std::pair<TimingNodeId, TimingNodeId> nodes[] = {
+        {inc.out_node(c), cold.out_node(c)}, {inc.sink_node(c), cold.sink_node(c)}};
+    for (const auto& [mine, theirs] : nodes) {
+      ASSERT_EQ(mine.valid(), theirs.valid()) << nl.cell(c).name;
+      if (!mine.valid()) continue;
+      ASSERT_EQ(inc.arrival(mine), cold.arrival(theirs)) << nl.cell(c).name;
+      ASSERT_EQ(inc.required(mine), cold.required(theirs)) << nl.cell(c).name;
+    }
+  }
+}
+
+TEST(IncrementalTiming, DirtyConesOverManyWordsMatchColdBuild) {
+  // Thousands of topological positions: the dirty set spans many 64-bit
+  // words and more than one 4096-position summary word. Moves, splices that
+  // keep the order (a pin moved onto its sibling's net), splices that
+  // re-sort (replicas append nodes) and freed node slots (unification),
+  // each checked bit for bit, with the work totals pinned.
+  Netlist nl = make_circuit(45, 4000);
+  FpgaGrid grid(FpgaGrid::min_grid_for(
+      nl.num_logic() + 200, nl.num_input_pads() + nl.num_output_pads()));
+  LinearDelayModel dm;
+  Rng rng(19);
+  Placement pl = random_placement(nl, grid, rng);
+  TimingEngine eng(nl, pl, dm);
+  ASSERT_GT(eng.graph().num_nodes(), 4096u);
+  OpMixer mix(nl, pl, eng, rng);
+
+  auto sibling_rewire = [&] {
+    const std::vector<CellId> cells = nl.live_cells();
+    for (int tries = 0; tries < 100; ++tries) {
+      const CellId c = cells[rng.next_below(cells.size())];
+      const Cell& cell = nl.cell(c);
+      if (cell.kind != CellKind::kLogic || cell.inputs.size() < 2 ||
+          cell.inputs[0] == cell.inputs[1])
+        continue;
+      nl.reassign_input(c, 0, cell.inputs[1]);
+      eng.on_cell_rewired(c);
+      return true;
+    }
+    return false;
+  };
+
+  const std::uint64_t nodes_before = timing_counters().nodes_reevaluated;
+  const std::uint64_t edges_before = timing_counters().edges_redelayed;
+  int kept = 0, resorted = 0, freed = 0;
+  for (int step = 0; step < 48; ++step) {
+    SCOPED_TRACE(step);
+    const std::size_t live_before = nl.num_live_cells();
+    const std::uint64_t sorts_before = timing_counters().topo_sorts;
+    bool spliced = true;
+    switch (step % 4) {
+      case 0:
+        for (int k = 0; k < 5; ++k) mix.random_move();
+        spliced = false;
+        break;
+      case 1:
+        ASSERT_TRUE(sibling_rewire());
+        break;
+      case 2:
+        mix.random_replicate();
+        break;
+      default:
+        mix.random_unify();
+        break;
+    }
+    eng.update();
+    if (spliced) {
+      if (timing_counters().topo_sorts == sorts_before)
+        ++kept;
+      else
+        ++resorted;
+    }
+    if (nl.num_live_cells() < live_before) ++freed;
+    expect_valid_topo_order(eng.graph(), "step");
+    expect_bit_equal_to_cold(eng, nl, pl, dm);
+  }
+  EXPECT_GT(kept, 0);
+  EXPECT_GT(resorted, 0);
+  EXPECT_GT(freed, 0);
+  // Recorded before the worklist became a position bitset; the order, and
+  // so every count, is the same.
+  EXPECT_EQ(timing_counters().nodes_reevaluated - nodes_before, 4023u);
+  EXPECT_EQ(timing_counters().edges_redelayed - edges_before, 616u);
+}
+
 TEST(IncrementalTiming, ReplicationEngineDoesNotRebuildGraphs) {
   Netlist nl = make_circuit(45);
   FpgaGrid grid(FpgaGrid::min_grid_for(

@@ -196,7 +196,9 @@ TEST(ParallelEngine, SerialMatchesPrePrGoldens) {
   // Hexfloat trajectories captured from the serial engine BEFORE the thread
   // pool existed (same toolchain and flags). Any drift here means a refactor
   // changed the serial algorithm. Seed 23 was re-captured when the mesh sweep
-  // changed the embedder's tie order (docs/ALGORITHMS.md §1).
+  // changed the embedder's tie order (docs/ALGORITHMS.md §1). Seed 22's
+  // wirelength was re-pinned (1 ulp) when Placement::total_wirelength()
+  // became the exact sum rounded once.
   struct Golden {
     std::uint64_t seed;
     double final_critical;
@@ -208,7 +210,7 @@ TEST(ParallelEngine, SerialMatchesPrePrGoldens) {
   };
   const Golden goldens[] = {
       {21, 0x1.7666666666666p+5, 0x1.11eec710cb296p+10, 150, 40, 13, 3},
-      {22, 0x1.2e66666666666p+5, 0x1.efb03e425aee7p+9, 145, 40, 13, 8},
+      {22, 0x1.2e66666666666p+5, 0x1.efb03e425aee6p+9, 145, 40, 13, 8},
       {23, 0x1.da66666666666p+5, 0x1.00179f559b3dp+10, 151, 40, 17, 6},
   };
   for (const Golden& g : goldens) {

@@ -146,12 +146,15 @@ struct Golden {
 // address of `circuit` and so give the test a different name on every run.
 void PrintTo(const Golden& g, std::ostream* os) { *os << g.circuit; }
 
+// The wirelength totals (total_wl, final_wl) are the exact per-net sum
+// rounded once (WirelengthSum); they were re-pinned, within 2 ulp of the
+// earlier left-to-right sums, when the total became order-independent.
 constexpr Golden kGoldens[] = {
     {"ex5p", 9007716736109602111ull, 105, 6640744256810646108ull,
-     529.74430000000007, 25.100000000000001, 628.72100000000012, 47, 36, 49,
+     529.74429999999995, 25.100000000000001, 628.72100000000000, 47, 36, 49,
      9726054710181718459ull, 733917218162964936ull, 15253449003638486077ull},
     {"s298", 6262762595882575935ull, 158, 13632590844890047540ull,
-     1253.6798999999999, 38.799999999999997, 1484.3474999999996, 20, 8, 67,
+     1253.6798999999999, 38.799999999999997, 1484.3475000000001, 20, 8, 67,
      9878920138436358821ull, 11797181351298554228ull, 7268923040173613321ull},
 };
 

@@ -5,6 +5,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -618,6 +619,23 @@ TEST(FlowService, MismatchedCheckpointIsIgnored) {
 
 // ---- service: robustness --------------------------------------------------
 
+/// A per-stage timeout that the spec's place stage finishes well inside, so a
+/// hang injected later is what expires it: five times a clean place stage,
+/// timed on this build (a sanitizer build runs it several times slower), and
+/// at least 0.2 s.
+double place_stage_timeout(JobSpec spec) {
+  spec.id = "probe";
+  spec.inject_hang_stage.clear();
+  spec.inject_fail_stage = "replicate";
+  spec.timeout_seconds = 0;
+  ServiceOptions opt;
+  opt.threads = 1;
+  FlowService svc(opt);
+  const auto res = svc.run_batch({spec});
+  EXPECT_EQ(res[0].completed_stage, FlowStage::kPlaced);
+  return std::max(0.2, 5 * res[0].place_seconds);
+}
+
 // One injected hang and one injected failure never take the batch down: the
 // healthy jobs complete, the sick ones are reported with nonzero per-job
 // error codes, and run_batch itself does not throw.
@@ -629,7 +647,7 @@ TEST(FlowService, BatchSurvivesHangAndFailure) {
   hang.id = "hang";
   hang.route = false;
   hang.inject_hang_stage = "replicate";
-  hang.timeout_seconds = 0.2;
+  hang.timeout_seconds = place_stage_timeout(hang);
 
   JobSpec fail = small_job("s298", 3, 1);
   fail.id = "fail";
